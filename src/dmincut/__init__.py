@@ -19,7 +19,8 @@ from .errors import (
     StateSpaceLimitError,
     ValidationError,
 )
-from .maxflow import FlowState, check_one_more_unit, max_flow, residual_reachable, zero_flow
+from .maxflow import FlowState, check_one_more_unit, lifting_arcs, max_flow, residual_levels
+from .maxflow import residual_reachable, zero_flow
 from .network import (
     Arc,
     EdgeDistribution,
@@ -77,6 +78,7 @@ __all__ = [
     "format_cuts",
     "format_vector",
     "is_min_cut",
+    "lifting_arcs",
     "max_flow",
     "max_flow_value",
     "parse_cuts",
@@ -84,6 +86,7 @@ __all__ = [
     "parse_network",
     "reliability_exhaustive",
     "reliability_from_dmcs",
+    "residual_levels",
     "residual_reachable",
     "saturated_vector",
     "serialize_network",

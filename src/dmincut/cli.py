@@ -28,11 +28,10 @@ from .network import (
     format_vector,
     parse_edge_distribution,
     parse_network,
-    saturated_vector,
     unsaturated_set,
 )
 from .oracle import brute_force_dmcs, reliability_exhaustive, reliability_from_dmcs
-from .solver import audit_complexity, find_all_dmcs
+from .solver import audit_complexity, find_all_dmcs, infeasibility
 from .verify import verify, verify_flawed
 
 EXIT_OK = 0
@@ -143,13 +142,9 @@ def cmd_check_flaw(args) -> int:
         line = f"X={format_vector(vector)} {verdicts} W(X)={sound.flow_value}"
         print(f"{line} {bumps}" if bumps else line)
     print(f"disagreements: {disagreements}")
-    capacity_flow = max_flow(net, saturated_vector(net)).value
-    if args.demand > capacity_flow:
-        print(
-            f"error: demand {args.demand} exceeds the max flow {capacity_flow} "
-            f"of the fully saturated network",
-            file=sys.stderr,
-        )
+    diagnostic = infeasibility(net, args.demand)
+    if diagnostic:
+        print(f"error: {diagnostic}", file=sys.stderr)
         return EXIT_INFEASIBLE
     return EXIT_OK
 

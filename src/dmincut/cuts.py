@@ -11,29 +11,19 @@ Cut files are one cut per line: ``cut <id> <arc_id> <arc_id> ...``.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .errors import NetworkParseError, ValidationError
-from .network import Network
+from .maxflow import residual_levels
+from .network import Network, _tokenize
 
 MinCut = tuple[int, ...]
 
 
-def _reachable_without(net: Network, removed: frozenset[int]) -> set[int]:
-    """Nodes reachable from the source after deleting the arcs in ``removed``."""
-    adj: list[list[int]] = [[] for _ in range(net.node_count + 1)]
-    for a in net.arcs:
-        if a.index not in removed:
-            adj[a.tail].append(a.head)
-    seen = {net.source}
-    queue = deque([net.source])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
+def _reachable_without(net: Network, removed: frozenset[int]) -> bool:
+    """True iff the sink is reachable from the source after deleting the arcs in ``removed``."""
+    open_slots = [1, 0] * net.arc_count
+    for arc_id in removed:
+        open_slots[2 * arc_id - 2] = 0
+    return residual_levels(net, open_slots, net.source)[net.sink] >= 0
 
 
 def is_min_cut(net: Network, arc_ids) -> bool:
@@ -42,9 +32,9 @@ def is_min_cut(net: Network, arc_ids) -> bool:
     for arc_id in cut:
         if not 1 <= arc_id <= net.arc_count:
             raise ValidationError(f"arc id {arc_id} outside [1, {net.arc_count}]")
-    if net.sink in _reachable_without(net, cut):
+    if _reachable_without(net, cut):
         return False
-    return all(net.sink in _reachable_without(net, cut - {a}) for a in cut)
+    return all(_reachable_without(net, cut - {a}) for a in cut)
 
 
 def enumerate_min_cuts(net: Network) -> list[MinCut]:
@@ -54,7 +44,7 @@ def enumerate_min_cuts(net: Network) -> list[MinCut]:
     source, so scanning the 2^(n-2) subsets and keeping the subset-minimal
     candidates is exhaustive.
     """
-    if net.sink not in _reachable_without(net, frozenset()):
+    if not _reachable_without(net, frozenset()):
         raise ValidationError("sink is unreachable from source; the network has no minimal cut")
     others = [v for v in range(1, net.node_count + 1) if v not in (net.source, net.sink)]
     candidates: set[frozenset[int]] = set()
@@ -78,7 +68,9 @@ def parse_cuts(text: str, net: Network) -> list[MinCut]:
     """
     cuts: list[MinCut] = []
     seen: set[MinCut] = set()
-    for line_no, tokens in _cut_lines(text):
+    for line_no, tokens in _tokenize(text):
+        if tokens[0] != "cut":
+            raise NetworkParseError(line_no, f"unknown directive {tokens[0]!r}")
         if len(tokens) < 3:
             raise NetworkParseError(line_no, "expected 'cut <id> <arc_id> ...'")
         try:
@@ -96,17 +88,6 @@ def parse_cuts(text: str, net: Network) -> list[MinCut]:
     if not cuts:
         raise ValidationError("cut file lists no cuts")
     return cuts
-
-
-def _cut_lines(text: str):
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] != "cut":
-            raise NetworkParseError(line_no, f"unknown directive {tokens[0]!r}")
-        yield line_no, tokens
 
 
 def format_cuts(cuts: list[MinCut]) -> str:

@@ -1,25 +1,27 @@
-"""Max-flow engine: blocking-flow computation and residual reachability.
+"""Max-flow engine: blocking-flow computation and residual searches.
 
 The solver needs three primitives: the max-flow value W(X) of a network
 under a capacity state X, the residual graph of a feasible flow, and the
-question "can one more unit be sent once d units are in place".  A
-blocking-flow (level graph) method is used; adjacency is traversed in
-ascending arc-id order, so identical inputs always produce the identical
-flow, not merely the same value.
+question "which arcs, raised by one unit, lift the max flow above the d
+units in place".  A blocking-flow (level graph) method is used; adjacency
+is traversed in ascending arc-id order, so identical inputs always produce
+the identical flow, not merely the same value.
 
 Residual bookkeeping is per arc (slot pair), which makes anti-parallel
-arcs work without node-splitting tricks.
+arcs work without node-splitting tricks.  Every graph search in the
+package is :func:`residual_levels` over such a slot list.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ContractError
-from .network import Network, StateVector, bump, unsaturated_set
+from .network import Network, StateVector, unsaturated_set
 
-__all__ = ["FlowState", "max_flow", "residual_reachable", "check_one_more_unit", "zero_flow"]
+__all__ = ["FlowState", "max_flow", "residual_levels", "residual_reachable", "lifting_arcs",
+           "check_one_more_unit", "zero_flow"]
 
 
 @dataclass(frozen=True)
@@ -28,14 +30,35 @@ class FlowState:
 
     ``flows[i]`` is the flow on arc i+1, ``value`` the net outflow of the
     source.  Conservation and capacity feasibility hold by construction for
-    states produced by :func:`max_flow`; swapping in a componentwise-larger
-    capacity vector (see ``dataclasses.replace``) keeps the flow feasible.
+    states produced by :func:`max_flow`.
     """
 
     net: Network
     capacities: StateVector
     flows: tuple[int, ...]
     value: int
+
+
+def residual_levels(net: Network, residual, start: int, backward: int = 0) -> list[int]:
+    """Breadth-first distances from ``start`` over slots with positive ``residual``.
+
+    ``backward=1`` reads slot ``s ^ 1`` instead of ``s``, so the search runs
+    against the residual arcs and measures distances *to* ``start``.
+    Unreached nodes get -1; index 0 is unused.
+    """
+    adj = net.out_slots
+    to = net.slot_heads
+    level = [-1] * (net.node_count + 1)
+    level[start] = 0
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for slot in adj[u]:
+            v = to[slot]
+            if residual[slot ^ backward] > 0 and level[v] < 0:
+                level[v] = level[u] + 1
+                queue.append(v)
+    return level
 
 
 def max_flow(net: Network, state: StateVector, limit: int | None = None) -> FlowState:
@@ -56,48 +79,43 @@ def max_flow(net: Network, state: StateVector, limit: int | None = None) -> Flow
         residual[2 * i] = state[i]
 
     total = 0
-    infinity = sum(state) + 1
     while limit is None or total < limit:
-        # BFS level graph over positive-residual slots.
-        level = [-1] * (n + 1)
-        level[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for slot in adj[u]:
-                v = to[slot]
-                if residual[slot] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
+        level = residual_levels(net, residual, source)
         if level[sink] < 0:
             break
-
+        # Blocking flow: depth-first over an explicit slot stack, so path
+        # length is not bounded by the interpreter's recursion limit.  A node
+        # whose slots run out is retired (level -1) and the search retreats.
         iters = [0] * (n + 1)
-
-        def push(u: int, amount: int) -> int:
+        path: list[int] = []
+        u = source
+        while limit is None or total < limit:
             if u == sink:
-                return amount
-            while iters[u] < len(adj[u]):
-                slot = adj[u][iters[u]]
+                sent = min(residual[slot] for slot in path)
+                if limit is not None:
+                    sent = min(sent, limit - total)
+                for slot in path:
+                    residual[slot] -= sent
+                    residual[slot ^ 1] += sent
+                total += sent
+                path.clear()
+                u = source
+                continue
+            slots = adj[u]
+            while iters[u] < len(slots):
+                slot = slots[iters[u]]
                 v = to[slot]
                 if residual[slot] > 0 and level[v] == level[u] + 1:
-                    sent = push(v, min(amount, residual[slot]))
-                    if sent > 0:
-                        residual[slot] -= sent
-                        residual[slot ^ 1] += sent
-                        return sent
+                    path.append(slot)
+                    u = v
+                    break
                 iters[u] += 1
-            level[u] = -1
-            return 0
-
-        while True:
-            room = infinity if limit is None else limit - total
-            if room <= 0:
-                break
-            sent = push(source, room)
-            if sent == 0:
-                break
-            total += sent
+            else:
+                level[u] = -1
+                if not path:
+                    break  # the source is retired: the phase is blocked
+                u = to[path.pop() ^ 1]
+                iters[u] += 1
 
     flows = tuple(residual[2 * i + 1] for i in range(m))
     return FlowState(net=net, capacities=state, flows=flows, value=total)
@@ -109,6 +127,11 @@ def zero_flow(net: Network, state: StateVector) -> FlowState:
     return FlowState(net=net, capacities=state, flows=(0,) * net.arc_count, value=0)
 
 
+def _residual(fs: FlowState) -> list[int]:
+    """Per-slot residual capacities of ``fs``: room below capacity forward, flow backward."""
+    return [r for x, f in zip(fs.capacities, fs.flows) for r in (x - f, f)]
+
+
 def residual_reachable(fs: FlowState) -> bool:
     """True iff the sink is reachable from the source in the residual graph.
 
@@ -116,26 +139,22 @@ def residual_reachable(fs: FlowState) -> bool:
     where flow is positive.  For a maximal flow this is always False.
     """
     net = fs.net
-    adj = net.out_slots
-    to = net.slot_heads
-    m = net.arc_count
-    residual = [0] * (2 * m)
-    for i in range(m):
-        residual[2 * i] = fs.capacities[i] - fs.flows[i]
-        residual[2 * i + 1] = fs.flows[i]
-    seen = [False] * (net.node_count + 1)
-    seen[net.source] = True
-    queue = deque([net.source])
-    while queue:
-        u = queue.popleft()
-        for slot in adj[u]:
-            v = to[slot]
-            if residual[slot] > 0 and not seen[v]:
-                if v == net.sink:
-                    return True
-                seen[v] = True
-                queue.append(v)
-    return seen[net.sink]
+    return residual_levels(net, _residual(fs), net.source)[net.sink] >= 0
+
+
+def lifting_arcs(fs: FlowState) -> set[int]:
+    """Ids of the arcs whose capacity, raised by one unit, lifts the max flow above ``fs.value``.
+
+    Requires ``fs`` to be a maximum flow.  Then every new augmenting path
+    crosses the raised arc (u, v), so the unit lifts the flow exactly when
+    the source reaches u and v reaches the sink in the residual graph: one
+    forward and one backward search classify every arc at once.
+    """
+    net = fs.net
+    residual = _residual(fs)
+    from_source = residual_levels(net, residual, net.source)
+    to_sink = residual_levels(net, residual, net.sink, backward=1)
+    return {a.index for a in net.arcs if from_source[a.tail] >= 0 and to_sink[a.head] >= 0}
 
 
 def check_one_more_unit(net: Network, state: StateVector, demand: int, arc_id: int) -> bool:
@@ -143,9 +162,9 @@ def check_one_more_unit(net: Network, state: StateVector, demand: int, arc_id: i
 
     Requires W(state) == demand and ``arc_id`` unsaturated; both are
     enforced because dropping the first hypothesis is exactly what makes
-    the naive acceptance test unsound.  The check sends ``demand`` units
-    under the bumped capacities and asks for a residual augmenting path,
-    which is equivalent to W(state + unit) > demand.
+    the naive acceptance test unsound.  With ``demand`` units in place the
+    answer is membership in :func:`lifting_arcs`, which is equivalent to
+    W(state + unit) > demand.
     """
     fs = max_flow(net, state)
     if fs.value != demand:
@@ -154,5 +173,4 @@ def check_one_more_unit(net: Network, state: StateVector, demand: int, arc_id: i
         )
     if arc_id not in unsaturated_set(net, state):
         raise ContractError(f"arc {arc_id} is already saturated")
-    bumped = replace(fs, capacities=bump(net, state, arc_id))
-    return residual_reachable(bumped)
+    return arc_id in lifting_arcs(fs)

@@ -124,17 +124,16 @@ def saturated_vector(net: Network) -> StateVector:
     return net.max_capacities
 
 
-def bump(net: Network, state: StateVector, arc_id: int, allow_overflow: bool = False) -> StateVector:
+def bump(net: Network, state: StateVector, arc_id: int) -> StateVector:
     """Return a copy of ``state`` with arc ``arc_id`` raised by one unit.
 
-    Raising a saturated arc is a contract breach for verification callers
-    and raises :class:`ValidationError`; diagnostic callers may pass
-    ``allow_overflow=True`` to get the out-of-box vector anyway.
+    Raising a saturated arc would leave the capacity box and raises
+    :class:`ValidationError`.
     """
     if not 1 <= arc_id <= net.arc_count:
         raise ValidationError(f"arc id {arc_id} outside [1, {net.arc_count}]")
     i = arc_id - 1
-    if not allow_overflow and state[i] >= net.max_capacities[i]:
+    if state[i] >= net.max_capacities[i]:
         raise ValidationError(
             f"arc {arc_id} already at maximum capacity {net.max_capacities[i]}"
         )

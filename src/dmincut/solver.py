@@ -2,14 +2,15 @@
 
 For each minimal cut the candidate stream is generated lazily; every
 candidate gets exactly one max-flow computation (no incremental reuse
-between candidates, which is unsound in general) followed by at most one
-residual search per unsaturated arc.  Accepted vectors are merged into a
-set because distinct cuts can emit the same d-MC.
+between candidates, which is unsound in general) and, when that flow
+meets the demand, one residual classification of its arcs.  Accepted
+vectors are merged into a set because distinct cuts can emit the same
+d-MC.
 
 The counters exist so the operation-count bounds can be audited: the
 number of max-flow calls is bounded by the total closed-form candidate
-count across cuts, and the number of residual searches by (arc count) x
-(candidates examined).
+count across cuts, and the number of residual classifications by the
+number of candidates examined.
 """
 
 from __future__ import annotations
@@ -102,6 +103,17 @@ class SolveReport:
         return cls.from_dict(json.loads(text))
 
 
+def infeasibility(net: Network, demand: int) -> str | None:
+    """Why no d-MC exists at ``demand`` (above the saturated max flow), or None.
+
+    This max-flow call is outside the per-candidate accounting, so the audit bounds stay exact.
+    """
+    top = max_flow(net, saturated_vector(net)).value
+    if demand > top:
+        return f"no {demand}-MC exists: demand {demand} exceeds the max flow {top} of the fully saturated network"
+    return None
+
+
 def find_all_dmcs(net: Network, demand: int, cuts: list[MinCut]) -> SolveReport:
     """Enumerate every d-MC of ``net`` at level ``demand`` from the given cut list.
 
@@ -133,16 +145,7 @@ def find_all_dmcs(net: Network, demand: int, cuts: list[MinCut]) -> SolveReport:
         counters.candidates_per_cut.append(generated)
 
     per_cut_bounds = [count_candidates(net, cut, demand) for cut in cuts]
-    # Feasibility diagnostic; this max-flow call is outside the per-candidate
-    # accounting, so the audit bounds stay exact.
-    capacity_flow = max_flow(net, saturated_vector(net)).value
-    infeasible = demand > capacity_flow
-    diagnostic = None
-    if infeasible:
-        diagnostic = (
-            f"no {demand}-MC exists: demand {demand} exceeds the max flow "
-            f"{capacity_flow} of the fully saturated network"
-        )
+    diagnostic = infeasibility(net, demand)
     return SolveReport(
         demand=demand,
         cut_count=len(cuts),
@@ -151,7 +154,7 @@ def find_all_dmcs(net: Network, demand: int, cuts: list[MinCut]) -> SolveReport:
         total_candidate_bound=sum(per_cut_bounds),
         dmcs=tuple(sorted(found)),
         counters=counters,
-        infeasible_demand=infeasible,
+        infeasible_demand=diagnostic is not None,
         diagnostic=diagnostic,
     )
 
@@ -160,12 +163,12 @@ def audit_complexity(report: SolveReport) -> bool:
     """Check the operation counts against their closed-form bounds.
 
     Max-flow usage must not exceed the summed per-cut candidate counts
-    (which in turn cannot exceed cuts x max-per-cut), and residual searches
-    must not exceed one per arc per examined candidate.
+    (which in turn cannot exceed cuts x max-per-cut), and residual
+    classifications must not exceed one per examined candidate.
     """
     c = report.counters
     return (
         c.maxflow_calls <= report.total_candidate_bound
         and report.total_candidate_bound <= report.cut_count * report.max_candidates_per_cut
-        and c.residual_searches <= report.arc_count * c.candidates_total
+        and c.residual_searches <= c.candidates_total
     )

@@ -3,9 +3,10 @@
 A state vector X is a d-MC exactly when W(X) = d and raising any
 unsaturated arc by one unit pushes the max flow above d.  ``verify``
 implements the sound residual-path form of that test: after a max flow of
-value d is in place, arc e is checked by granting it one extra unit of
-capacity and searching the residual graph for an augmenting path, which
-costs one graph search per arc instead of a fresh max-flow computation.
+value d is in place, an extra unit on arc (u, v) opens an augmenting path
+exactly when the source reaches u and v reaches the sink in the residual
+graph, so one forward and one backward search classify every unsaturated
+arc at once instead of a fresh max-flow computation per arc.
 
 ``verify_flawed`` implements a historically published acceptance test that
 drops the W(X) = d hypothesis and takes plain source-sink reachability in
@@ -16,9 +17,9 @@ because it wrongly accepts candidates whose max flow is below the demand;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .maxflow import max_flow, residual_reachable, zero_flow
+from .maxflow import lifting_arcs, max_flow, residual_reachable, zero_flow
 from .network import Network, StateVector, bump, unsaturated_set
 
 MODE_CORRECTED = "corrected"
@@ -43,8 +44,8 @@ class Verdict:
 def verify(net: Network, state: StateVector, demand: int, counters=None) -> Verdict:
     """Classify ``state`` as d-MC or not at level ``demand`` (sound test).
 
-    Short-circuits on the first failing arc; arcs are examined in
-    ascending id order so the reported witness is deterministic.
+    The reported witness is the lowest-id unsaturated arc whose unit bump
+    does not lift the flow, so it is deterministic.
     """
     net.validate_state(state)
     fs = max_flow(net, state)
@@ -52,12 +53,11 @@ def verify(net: Network, state: StateVector, demand: int, counters=None) -> Verd
         counters.maxflow_calls += 1
     if fs.value != demand:
         return Verdict(is_dmc=False, flow_value=fs.value, failing_arc=None, mode=MODE_CORRECTED)
-    for arc_id in sorted(unsaturated_set(net, state)):
-        bumped = replace(fs, capacities=bump(net, state, arc_id))
-        if counters is not None:
-            counters.residual_searches += 1
-        if not residual_reachable(bumped):
-            return Verdict(is_dmc=False, flow_value=fs.value, failing_arc=arc_id, mode=MODE_CORRECTED)
+    if counters is not None:
+        counters.residual_searches += 1
+    failing = unsaturated_set(net, state) - lifting_arcs(fs)
+    if failing:
+        return Verdict(is_dmc=False, flow_value=fs.value, failing_arc=min(failing), mode=MODE_CORRECTED)
     return Verdict(is_dmc=True, flow_value=fs.value, failing_arc=None, mode=MODE_CORRECTED)
 
 

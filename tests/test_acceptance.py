@@ -26,6 +26,7 @@ from dmincut import (
     enumerate_min_cuts,
     find_all_dmcs,
     flow_table,
+    lifting_arcs,
     max_flow,
     reliability_exhaustive,
     reliability_from_dmcs,
@@ -116,6 +117,7 @@ def test_acceptance_3_residual_route_equals_direct_inequality(sweep):
     records, _ = sweep
     agreements = 0
     disagreements = 0
+    lifting_disagreements = 0
     for record in records:
         net = record.net
         top = max(record.levels)
@@ -125,6 +127,7 @@ def test_acceptance_3_residual_route_equals_direct_inequality(sweep):
                     if record.table[cand.vector] != demand:
                         continue
                     fs = max_flow(net, cand.vector)
+                    lifting = lifting_arcs(fs)
                     for arc_id in sorted(unsaturated_set(net, cand.vector)):
                         bumped = bump(net, cand.vector, arc_id)
                         via_residual = residual_reachable(replace(fs, capacities=bumped))
@@ -133,10 +136,14 @@ def test_acceptance_3_residual_route_equals_direct_inequality(sweep):
                             agreements += 1
                         else:
                             disagreements += 1
+                        if (arc_id in lifting) is not via_inequality:
+                            lifting_disagreements += 1
     assert disagreements == 0
+    assert lifting_disagreements == 0
     assert agreements > 3_000  # the sweep must actually exercise the property
     print(
-        f"\nACCEPTANCE 3 ({agreements} arcwise checks, {disagreements} disagreements): PASS"
+        f"\nACCEPTANCE 3 ({agreements} arcwise checks, {disagreements} disagreements, "
+        f"{lifting_disagreements} lifting_arcs disagreements): PASS"
     )
 
 

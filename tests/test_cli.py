@@ -73,6 +73,25 @@ def test_solve_with_partial_cut_file_empty_is_not_an_error(capsys, tmp_path):
     assert err == ""
 
 
+def test_solve_long_path_with_cut_file(capsys, tmp_path):
+    # 1,200 nodes in a row: augmenting paths longer than the interpreter's
+    # recursion limit.
+    nodes = 1200
+    net = tmp_path / "path.net"
+    net.write_text(
+        f"nodes {nodes} source 1 sink {nodes}\n"
+        + "".join(f"edge {v} {v} {v + 1} 2\n" for v in range(1, nodes))
+    )
+    cuts = tmp_path / "path.cuts"
+    cuts.write_text("cut 1 1\n")
+    code, out, err = run(capsys, "solve", str(net), "--demand", "1", "--cuts", str(cuts))
+    assert code == 0
+    assert err == ""
+    assert [line for line in out.splitlines() if line.startswith("(")] == [
+        "(" + ",".join(["1"] + ["2"] * (nodes - 2)) + ")"
+    ]
+
+
 def test_solve_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "solve", "--network", "no-such-file.net", "--demand", "3")
     assert code == 2

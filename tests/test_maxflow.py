@@ -3,11 +3,15 @@ import random
 import pytest
 
 from dmincut import (
+    Arc,
     ContractError,
+    Network,
     bump,
     check_one_more_unit,
+    lifting_arcs,
     max_flow,
     max_flow_value,
+    residual_levels,
     residual_reachable,
     saturated_vector,
     unsaturated_set,
@@ -117,6 +121,73 @@ def test_unit_bump_raises_flow_by_at_most_one():
             bumped_value = max_flow(net, bump(net, state, arc_id)).value
             assert value <= bumped_value <= value + 1
             pairs += 1
+
+
+ANTI_PARALLEL = (
+    "nodes 4 source 1 sink 4\nedge 1 1 2 2\nedge 2 1 3 1\nedge 3 2 3 2\n"
+    "edge 4 3 2 1\nedge 5 2 4 1\nedge 6 3 4 2\n"
+)
+
+
+def assert_lifting_matches_definition(net):
+    # One spare unit on every arc, so saturated arcs can be bumped too.
+    wide = Network(
+        node_count=net.node_count,
+        arcs=tuple(Arc(a.index, a.tail, a.head, a.max_capacity + 1) for a in net.arcs),
+        source=net.source,
+        sink=net.sink,
+    )
+    for state in box(net):
+        fs = max_flow(wide, state)
+        expected = {
+            a for a in range(1, net.arc_count + 1)
+            if max_flow_value(wide, bump(wide, state, a)) > fs.value
+        }
+        assert lifting_arcs(fs) == expected, state
+
+
+def test_lifting_arcs_fig1(fig1):
+    # (3,2,2,1,3,3) carries 7 units; one more unit on arc 2 or 3 reaches 8,
+    # one more on arc 1 does not.
+    assert lifting_arcs(max_flow(fig1, (3, 2, 2, 1, 3, 3))) == {2, 3}
+    assert lifting_arcs(max_flow(fig1, (0, 2, 3, 1, 3, 3))) == {1, 2, 3}
+    assert_lifting_matches_definition(fig1)
+
+
+def test_lifting_arcs_anti_parallel_pair():
+    net = parse_network(ANTI_PARALLEL)  # arcs 3 and 4 join nodes 2 and 3 both ways
+    assert lifting_arcs(max_flow(net, (2, 1, 1, 1, 0, 2))) == {5}
+    assert lifting_arcs(max_flow(net, (2, 0, 2, 1, 1, 2))) == {1, 2}
+    assert_lifting_matches_definition(net)
+
+
+def test_residual_levels_backward():
+    net = parse_network("nodes 3 source 1 sink 3\nedge 1 1 2 1\nedge 2 2 3 1\n")
+    # Zero flow: forward residual only.
+    assert residual_levels(net, [1, 0, 1, 0], 1) == [-1, 0, 1, 2]
+    assert residual_levels(net, [1, 0, 1, 0], 3, backward=1) == [-1, 2, 1, 0]
+    assert residual_levels(net, [1, 0, 0, 0], 3, backward=1) == [-1, -1, -1, 0]
+    # One unit on the path: backward residual only.
+    assert residual_levels(net, [0, 1, 0, 1], 3, backward=1) == [-1, -1, -1, 0]
+    assert residual_levels(net, [0, 1, 0, 1], 1, backward=1) == [-1, 0, 1, 2]
+
+
+def test_residual_levels_backward_is_forward_on_reversed_network():
+    rng = random.Random(106)
+    for _ in range(200):
+        net = random_network(rng)
+        reversed_net = Network(
+            node_count=net.node_count,
+            arcs=tuple(Arc(a.index, a.head, a.tail, a.max_capacity) for a in net.arcs),
+            source=net.source,
+            sink=net.sink,
+        )
+        # Reversing every arc reverses every residual slot in place.
+        residual = [rng.randint(0, 2) for _ in range(2 * net.arc_count)]
+        for start in range(1, net.node_count + 1):
+            assert residual_levels(net, residual, start, backward=1) == residual_levels(
+                reversed_net, residual, start
+            )
 
 
 def test_check_one_more_unit_contract_errors(fig1):

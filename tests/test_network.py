@@ -115,8 +115,6 @@ def test_bump_saturated_arc_is_flagged(fig1):
     full = saturated_vector(fig1)
     with pytest.raises(ValidationError, match="maximum"):
         bump(fig1, full, 1)
-    # Diagnostic callers can opt in to the out-of-box vector.
-    assert bump(fig1, full, 1, allow_overflow=True) == (5, 2, 3, 1, 3, 3)
 
 
 def test_bump_unknown_arc_rejected(fig1):
