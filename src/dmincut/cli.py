@@ -170,7 +170,7 @@ def cmd_reliability(args) -> int:
     demand = args.demand if args.threshold == "ge" else args.demand + 1
     # Target: Pr[W >= demand] after folding 'strict' into 'ge' at demand+1.
     if args.method == "exhaustive":
-        probability = reliability_exhaustive(net, dist, demand, threshold="ge")
+        probability = reliability_exhaustive(net, dist, demand)
     else:
         if demand <= 0:
             probability = 1.0

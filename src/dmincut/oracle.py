@@ -142,23 +142,14 @@ def brute_force_dmcs(net: Network, demand: int) -> tuple[StateVector, ...]:
     return dmc_levels(net).get(demand, ())
 
 
-def reliability_exhaustive(
-    net: Network, dist: EdgeDistribution, demand: int, threshold: str = "ge"
-) -> float:
-    """Probability that the max flow meets the demand, by full enumeration.
-
-    ``threshold="ge"`` (the default) computes Pr[W >= demand];
-    ``threshold="strict"`` computes Pr[W > demand].
-    """
+def reliability_exhaustive(net: Network, dist: EdgeDistribution, demand: int) -> float:
+    """Pr[W >= demand], the probability that the max flow meets the demand, by full enumeration."""
     dist.validate(net)
     _check_guard(net)
-    if threshold not in ("ge", "strict"):
-        raise ValidationError(f"threshold must be 'ge' or 'strict', got {threshold!r}")
     engine = _AugmentingPathFlow(net)
-    cutoff = demand if threshold == "ge" else demand + 1
     terms = []
     for state in _box(net):
-        if engine.value(state) >= cutoff:
+        if engine.value(state) >= demand:
             mass = 1.0
             for pmf, x in zip(dist.pmfs, state):
                 mass *= pmf[x]

@@ -167,6 +167,18 @@ def test_mincuts_disconnected_exits_2(capsys, tmp_path):
     assert "unreachable" in err
 
 
+def test_mincuts_subset_scan_guard_exits_4(capsys, tmp_path):
+    # 30 nodes in a row: 2^28 node subsets, past the scan guard.
+    net = tmp_path / "path.net"
+    net.write_text(
+        "nodes 30 source 1 sink 30\n" + "".join(f"edge {v} {v} {v + 1} 1\n" for v in range(1, 30))
+    )
+    code, out, err = run(capsys, "mincuts", str(net))
+    assert code == 4
+    assert out == ""
+    assert "SUBSET_SCAN_GUARD" in err and "--cuts" in err
+
+
 def test_oracle_and_solve_listings_are_byte_identical(capsys):
     for demand in range(0, 9):
         code_s, out_s, _ = run(capsys, "solve", FIG1, "--demand", str(demand))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -57,10 +58,14 @@ def test_enumeration_matches_subset_oracle_on_random_networks():
     for _ in range(30):
         net = random_network(rng)
         cuts = enumerate_min_cuts(net)
-        assert cuts == min_cuts_by_subsets(net)
+        expected = min_cuts_by_subsets(net)
+        assert cuts == expected
         assert len(set(cuts)) == len(cuts)
-        for cut in cuts:
-            assert is_min_cut(net, cut)
+        expected = set(expected)
+        ids = [a.index for a in net.arcs]
+        for r in range(len(ids) + 1):
+            for subset in itertools.combinations(ids, r):
+                assert is_min_cut(net, subset) == (tuple(sorted(subset)) in expected)
 
 
 def test_enumeration_matches_subset_oracle_up_to_twelve_arcs():
@@ -68,6 +73,31 @@ def test_enumeration_matches_subset_oracle_up_to_twelve_arcs():
     for _ in range(6):
         net = random_network(rng, max_nodes=6, max_arcs=12, max_cap=2)
         assert enumerate_min_cuts(net) == min_cuts_by_subsets(net)
+
+
+def test_grid_4x4_cut_count_and_no_cut_contains_another():
+    # The perfbench 4x4 grid shape: source -> each row start, right and down
+    # arcs per cell in row-major order, each row end -> sink.
+    rows = cols = 4
+    source, sink = 1, rows * cols + 2
+
+    def cell(r, c):
+        return 2 + r * cols + c
+
+    pairs = [(source, cell(r, 0)) for r in range(rows)]
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                pairs.append((cell(r, c), cell(r, c + 1)))
+            if r + 1 < rows:
+                pairs.append((cell(r, c), cell(r + 1, c)))
+    pairs += [(cell(r, cols - 1), sink) for r in range(rows)]
+    arcs = tuple(Arc(index=i, tail=t, head=h, max_capacity=1) for i, (t, h) in enumerate(pairs, 1))
+    net = Network(node_count=sink, arcs=arcs, source=source, sink=sink)
+    cuts = enumerate_min_cuts(net)
+    assert len(cuts) == 1160
+    sets = [frozenset(c) for c in cuts]
+    assert not any(other < c for c in sets for other in sets)
 
 
 def test_cut_capacity_bounds_max_flow():

@@ -88,16 +88,6 @@ def test_reliability_exhaustive_trivial_cases(fig1):
     assert abs(reliability_exhaustive(net, single, 1) - 0.7) < 1e-15
 
 
-def test_reliability_threshold_conventions(fig1):
-    dist = EdgeDistribution.uniform(fig1)
-    for demand in range(0, 9):
-        strict = reliability_exhaustive(fig1, dist, demand, threshold="strict")
-        ge_next = reliability_exhaustive(fig1, dist, demand + 1, threshold="ge")
-        assert strict == ge_next
-    with pytest.raises(ValidationError):
-        reliability_exhaustive(fig1, dist, 3, threshold="above")
-
-
 def test_reliability_exhaustive_against_monte_carlo(fig1):
     dist = EdgeDistribution.uniform(fig1)
     exact = reliability_exhaustive(fig1, dist, 4)
