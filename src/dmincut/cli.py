@@ -57,6 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_flaw = sub.add_parser("check-flaw", help="diff sound vs flawed verification")
     add_network(p_flaw)
     p_flaw.add_argument("--demand", type=int, required=True)
+    p_flaw.add_argument("--cuts", metavar="FILE", help="minimal-cut file (default: enumerate)")
 
     p_oracle = sub.add_parser("oracle", help="brute-force d-MC enumeration")
     add_network(p_oracle)
@@ -87,12 +88,16 @@ def _load_network(args):
     return text, parse_network(text)
 
 
+def _load_cuts(args, net):
+    """The cuts listed in ``--cuts FILE``, else every minimal cut by enumeration."""
+    if args.cuts is not None:
+        return parse_cuts(Path(args.cuts).read_text(), net)
+    return enumerate_min_cuts(net)
+
+
 def cmd_solve(args) -> int:
     _, net = _load_network(args)
-    if args.cuts is not None:
-        cuts = parse_cuts(Path(args.cuts).read_text(), net)
-    else:
-        cuts = enumerate_min_cuts(net)
+    cuts = _load_cuts(args, net)
     report = find_all_dmcs(net, args.demand, cuts)
     if args.json:
         print(report.to_json())
@@ -120,7 +125,8 @@ def cmd_solve(args) -> int:
 
 def cmd_check_flaw(args) -> int:
     _, net = _load_network(args)
-    cuts = enumerate_min_cuts(net)
+    # A partial cut list is sound here: each listed candidate gets both verdicts.
+    cuts = _load_cuts(args, net)
     candidates = sorted(
         {c.vector for cut in cuts for c in enumerate_candidates(net, cut, args.demand)}
     )

@@ -70,8 +70,8 @@ def enumerate_min_cuts(net: Network) -> list[MinCut]:
     if subsets > SUBSET_SCAN_GUARD:
         raise StateSpaceLimitError(
             f"minimal-cut enumeration would scan {subsets} node subsets, above the guard"
-            f" SUBSET_SCAN_GUARD={SUBSET_SCAN_GUARD}; list the cuts in a cut file and pass it"
-            " with solve --cuts"
+            f" SUBSET_SCAN_GUARD={SUBSET_SCAN_GUARD}; the commands that take --cuts can be"
+            " given the cuts in a cut file instead"
         )
     candidates: set[frozenset[int]] = set()
     for mask in range(subsets):

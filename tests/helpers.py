@@ -125,3 +125,36 @@ def random_distribution(rng: random.Random, net: Network) -> EdgeDistribution:
     dist = EdgeDistribution(tuple(pmfs))
     dist.validate(net)
     return dist
+
+
+def union_by_inclusion_exclusion(vectors, dist: EdgeDistribution) -> float:
+    """Pr[X <= some vector] by 2^k signed inclusion-exclusion terms over the k distinct vectors.
+
+    The intersection of the boxes below a group of vectors is the box below
+    their componentwise minimum.  Exponential in k, so kept to k <= 14.
+    """
+    unique = sorted(set(map(tuple, vectors)))
+    if len(unique) > 14:
+        raise ValueError(f"{len(unique)} vectors: 2^k terms are too many for a test")
+    cdfs = [list(itertools.accumulate(pmf)) for pmf in dist.pmfs]
+    terms = []
+    for r in range(1, len(unique) + 1):
+        for group in itertools.combinations(unique, r):
+            mass = 1.0
+            for cdf, column in zip(cdfs, zip(*group)):
+                mass *= cdf[min(column)]
+            terms.append(mass if r % 2 else -mass)
+    return fsum(terms)
+
+
+def union_by_box_sweep(net: Network, vectors, dist: EdgeDistribution) -> float:
+    """Pr[X <= some vector]: the pmf mass of every state in the box that some vector dominates."""
+    tops = set(map(tuple, vectors))
+    terms = []
+    for state in box(net):
+        if any(all(x <= y for x, y in zip(state, top)) for top in tops):
+            mass = 1.0
+            for pmf, x in zip(dist.pmfs, state):
+                mass *= pmf[x]
+            terms.append(mass)
+    return fsum(terms)

@@ -187,8 +187,6 @@ def test_acceptance_6_reliability_consistency(fig1):
     def check(net, dist, levels):
         nonlocal comparisons, worst
         for demand, dmcs in sorted(levels.items()):
-            if len(dmcs) > 14:  # keep 2^k inclusion-exclusion terms test-sized
-                continue
             union = reliability_from_dmcs(net, dmcs, dist)
             complement = reliability_exhaustive(net, dist, demand + 1)
             gap = abs(1.0 - union - complement)

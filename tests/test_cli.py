@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-from dmincut import SolveReport
+from dmincut import SolveReport, oracle
 from dmincut.cli import main
 
 from conftest import FIXTURES
@@ -179,6 +179,20 @@ def test_mincuts_subset_scan_guard_exits_4(capsys, tmp_path):
     assert "SUBSET_SCAN_GUARD" in err and "--cuts" in err
 
 
+def test_check_flaw_long_path_with_cut_file(capsys, tmp_path):
+    # 30 nodes in a row: past the subset-scan guard, so only a cut file helps.
+    net = tmp_path / "path.net"
+    net.write_text(
+        "nodes 30 source 1 sink 30\n" + "".join(f"edge {v} {v} {v + 1} 2\n" for v in range(1, 30))
+    )
+    cuts = tmp_path / "path.cuts"
+    cuts.write_text("cut 1 1\n")
+    code, out, err = run(capsys, "check-flaw", str(net), "--demand", "1", "--cuts", str(cuts))
+    assert code == 0
+    assert err == ""
+    assert out == "disagreements: 0\n"
+
+
 def test_oracle_and_solve_listings_are_byte_identical(capsys):
     for demand in range(0, 9):
         code_s, out_s, _ = run(capsys, "solve", FIG1, "--demand", str(demand))
@@ -226,10 +240,19 @@ def test_reliability_without_pmfs_exits_2(capsys):
     assert "prob" in err
 
 
-def test_reliability_dmcs_route_guard_exits_4(capsys):
-    # Demand 4 needs the 3-MC set (32 vectors), past the union guard of 20.
-    code, _, err = run(capsys, "reliability", FIG1_PROB, "--demand", "4", "--method", "dmcs")
+def test_reliability_dmcs_route_past_twenty_dmcs(capsys):
+    # Demand 4 needs the 3-MC set: 32 vectors, which the union handles exactly.
+    code_d, out_d, _ = run(capsys, "reliability", FIG1_PROB, "--demand", "4", "--method", "dmcs")
+    code_e, out_e, _ = run(capsys, "reliability", FIG1_PROB, "--demand", "4", "--method", "exhaustive")
+    assert code_d == code_e == 0
+    assert out_d == out_e == "0.428125000000\n"
+
+
+def test_reliability_dmcs_route_guard_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "UNION_WORK_GUARD", 1000)
+    code, out, err = run(capsys, "reliability", FIG1_PROB, "--demand", "4", "--method", "dmcs")
     assert code == 4
+    assert out == ""
     assert "guard" in err
 
 

@@ -11,13 +11,21 @@ from dmincut import (
     dmc_levels,
     flow_table,
     max_flow_value,
+    oracle,
     reliability_exhaustive,
     reliability_from_dmcs,
     state_space_size,
 )
 from dmincut.network import parse_network
 
-from helpers import box, random_distribution, random_network
+from helpers import (
+    box,
+    random_distribution,
+    random_network,
+    random_state,
+    union_by_box_sweep,
+    union_by_inclusion_exclusion,
+)
 
 
 def test_fig1_demand7_excludes_benchmark_candidate(fig1):
@@ -124,18 +132,29 @@ def test_reliability_from_dmcs_empty_flagged(fig1):
         reliability_from_dmcs(fig1, [], EdgeDistribution.uniform(fig1))
 
 
-def test_reliability_from_dmcs_guard():
-    net = parse_network("nodes 2 source 1 sink 2\nedge 1 1 2 30\n")
+def test_reliability_from_dmcs_guard(fig1, monkeypatch):
+    dist = EdgeDistribution.uniform(fig1)
+    level = dmc_levels(fig1)[3]  # 32 vectors: 32^2 comparisons for the first filter alone
+    monkeypatch.setattr(oracle, "UNION_WORK_GUARD", 1000)
+    with pytest.raises(StateSpaceLimitError, match="UNION_WORK_GUARD"):
+        reliability_from_dmcs(fig1, level, dist)
+
+
+def test_reliability_from_dmcs_guard_refuses_before_filtering():
+    # 2,300 pairwise incomparable vectors: 2,300^2 comparisons exceed the guard,
+    # so the call refuses at once instead of running the quadratic filter.
+    net = parse_network("nodes 2 source 1 sink 2\nedge 1 1 2 3000\nedge 2 1 2 3000\n")
     dist = EdgeDistribution.uniform(net)
-    vectors = [(v,) for v in range(21)]
-    with pytest.raises(StateSpaceLimitError):
+    vectors = [(i, 2999 - i) for i in range(2300)]
+    assert len(vectors) ** 2 > oracle.UNION_WORK_GUARD
+    with pytest.raises(StateSpaceLimitError, match="guard"):
         reliability_from_dmcs(net, vectors, dist)
 
 
 def test_union_complement_identity_fig1(fig1):
     dist = EdgeDistribution.uniform(fig1)
     levels = dmc_levels(fig1)
-    for demand in [0, 1, 6, 7, 8]:  # levels small enough for 2^k terms
+    for demand in range(0, 9):
         union = reliability_from_dmcs(fig1, levels[demand], dist)
         complement = reliability_exhaustive(fig1, dist, demand + 1)
         assert abs(1.0 - union - complement) <= 1e-12
@@ -149,9 +168,23 @@ def test_union_complement_identity_random():
         dist = random_distribution(rng, net)
         levels = dmc_levels(net)
         for demand, dmcs in levels.items():
-            if len(dmcs) > 14:
-                continue
             union = reliability_from_dmcs(net, dmcs, dist)
             complement = reliability_exhaustive(net, dist, demand + 1)
             assert abs(1.0 - union - complement) <= 1e-12
             comparisons += 1
+
+
+def test_union_matches_both_references_on_arbitrary_vector_lists():
+    # Any vector list, not only d-MC sets: dominated and repeated vectors included.
+    rng = random.Random(604)
+    for _ in range(200):
+        net = random_network(rng, max_arcs=6, max_states=4_000)
+        dist = random_distribution(rng, net)
+        vectors = [random_state(rng, net) for _ in range(rng.randint(1, 10))]
+        for _ in range(rng.randint(0, 3)):
+            top = rng.choice(vectors)
+            vectors.append(tuple(rng.randint(0, x) for x in top))  # dominated by top
+            vectors.append(rng.choice(vectors))  # repeated
+        union = reliability_from_dmcs(net, vectors, dist)
+        assert abs(union - union_by_inclusion_exclusion(vectors, dist)) <= 1e-12
+        assert abs(union - union_by_box_sweep(net, vectors, dist)) <= 1e-12
