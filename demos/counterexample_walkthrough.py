@@ -42,7 +42,7 @@ def main():
 
     cut = (1, 3, 4, 6)
     target = (0, 2, 3, 1, 3, 3)
-    stream = [c.vector for c in enumerate_candidates(net, cut, demand)]
+    stream = list(enumerate_candidates(net, cut, demand))
     print(f"\ncut {{e1,e3,e4,e6}} generates {len(stream)} candidates at demand {demand};")
     print(f"the interesting one is X = {format_vector(target)} "
           f"(on-cut capacities 0+3+1+3 = {demand})")

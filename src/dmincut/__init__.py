@@ -10,7 +10,7 @@ deliberately flawed historical test around as a diagnostic, and validates
 everything against brute-force oracles.
 """
 
-from .candidates import Candidate, count_candidates, count_compositions, enumerate_candidates
+from .candidates import count_candidates, count_compositions, enumerate_candidates
 from .cuts import MinCut, enumerate_min_cuts, format_cuts, is_min_cut, parse_cuts
 from .errors import (
     ContractError,
@@ -50,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Arc",
-    "Candidate",
     "ContractError",
     "DmincutError",
     "EdgeDistribution",

@@ -1,31 +1,21 @@
 """Candidate generation: bounded integer compositions over a cut.
 
-A d-MC candidate assigns the arcs of one minimal cut capacities that sum to
-the demand d (each within its maximum) while every off-cut arc sits at full
-capacity.  Enumeration is a lazy bounded-composition recursion in ascending
-lexicographic order of the on-cut components; the closed-form count uses
-inclusion-exclusion over capacity overflows and doubles as an independent
-bound on the stream length.
+A d-MC candidate is a state vector that gives the arcs of one minimal cut
+capacities summing to the demand d (each within its maximum) and every
+off-cut arc its full capacity.  A cut's stream yields these vectors as
+plain tuples, lazily, in ascending lexicographic order of the on-cut
+components; the closed-form count uses inclusion-exclusion over capacity
+overflows and doubles as an independent bound on the stream length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence
 
 from .cuts import MinCut
 from .errors import ValidationError
 from .network import Network, StateVector
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """One Step-2 solution: the full state vector plus its provenance."""
-
-    vector: StateVector
-    origin_cut: int  # index of the generating cut in the solver's cut list
-    ordinal: int  # 1-based position within that cut's stream
 
 
 def compositions(caps: Sequence[int], total: int) -> Iterator[tuple[int, ...]]:
@@ -78,7 +68,7 @@ def count_compositions(caps: Sequence[int], total: int) -> int:
     return count
 
 
-def enumerate_candidates(net: Network, cut: MinCut, demand: int, origin_cut: int = 0) -> Iterator[Candidate]:
+def enumerate_candidates(net: Network, cut: MinCut, demand: int) -> Iterator[StateVector]:
     """Stream every candidate of ``cut`` at level ``demand`` exactly once.
 
     The stream is empty when the demand exceeds the cut's total capacity;
@@ -89,11 +79,11 @@ def enumerate_candidates(net: Network, cut: MinCut, demand: int, origin_cut: int
     positions = [arc_id - 1 for arc_id in cut]
     caps = [net.max_capacities[p] for p in positions]
     base = list(net.max_capacities)
-    for ordinal, on_cut in enumerate(compositions(caps, demand), start=1):
+    for on_cut in compositions(caps, demand):
         vector = base.copy()
         for p, value in zip(positions, on_cut):
             vector[p] = value
-        yield Candidate(vector=tuple(vector), origin_cut=origin_cut, ordinal=ordinal)
+        yield tuple(vector)
 
 
 def count_candidates(net: Network, cut: MinCut, demand: int) -> int:

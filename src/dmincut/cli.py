@@ -80,18 +80,25 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DmincutError(f"{path}: not a UTF-8 text file (byte {exc.start})") from None
+
+
 def _load_network(args):
     path = args.network_flag or args.network_pos
     if path is None:
         raise DmincutError("a network file is required (positional or --network)")
-    text = Path(path).read_text()
+    text = _read_text(path)
     return text, parse_network(text)
 
 
 def _load_cuts(args, net):
     """The cuts listed in ``--cuts FILE``, else every minimal cut by enumeration."""
     if args.cuts is not None:
-        return parse_cuts(Path(args.cuts).read_text(), net)
+        return parse_cuts(_read_text(args.cuts), net)
     return enumerate_min_cuts(net)
 
 
@@ -128,7 +135,7 @@ def cmd_check_flaw(args) -> int:
     # A partial cut list is sound here: each listed candidate gets both verdicts.
     cuts = _load_cuts(args, net)
     candidates = sorted(
-        {c.vector for cut in cuts for c in enumerate_candidates(net, cut, args.demand)}
+        {v for cut in cuts for v in enumerate_candidates(net, cut, args.demand)}
     )
     disagreements = 0
     for vector in candidates:

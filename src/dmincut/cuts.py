@@ -68,8 +68,10 @@ def enumerate_min_cuts(net: Network) -> list[MinCut]:
     others = [v for v in range(1, net.node_count + 1) if v not in (net.source, net.sink)]
     subsets = 1 << len(others)
     if subsets > SUBSET_SCAN_GUARD:
+        # Printed as 2^k: past k = 14,284 the decimal form is longer than
+        # Python's default int-to-str limit of 4,300 digits.
         raise StateSpaceLimitError(
-            f"minimal-cut enumeration would scan {subsets} node subsets, above the guard"
+            f"minimal-cut enumeration would scan 2^{len(others)} node subsets, above the guard"
             f" SUBSET_SCAN_GUARD={SUBSET_SCAN_GUARD}; the commands that take --cuts can be"
             " given the cuts in a cut file instead"
         )

@@ -61,13 +61,8 @@ def residual_levels(net: Network, residual, start: int, backward: int = 0) -> li
     return level
 
 
-def max_flow(net: Network, state: StateVector, limit: int | None = None) -> FlowState:
-    """Send as much flow as possible from source to sink under ``state``.
-
-    With ``limit`` set, augmentation stops once the value reaches it, which
-    yields a feasible (not necessarily maximal) flow of value
-    ``min(limit, W(state))``.
-    """
+def max_flow(net: Network, state: StateVector) -> FlowState:
+    """Send as much flow as possible from source to sink under ``state``."""
     net.validate_state(state)
     n = net.node_count
     source, sink = net.source, net.sink
@@ -79,7 +74,7 @@ def max_flow(net: Network, state: StateVector, limit: int | None = None) -> Flow
         residual[2 * i] = state[i]
 
     total = 0
-    while limit is None or total < limit:
+    while True:
         level = residual_levels(net, residual, source)
         if level[sink] < 0:
             break
@@ -89,11 +84,9 @@ def max_flow(net: Network, state: StateVector, limit: int | None = None) -> Flow
         iters = [0] * (n + 1)
         path: list[int] = []
         u = source
-        while limit is None or total < limit:
+        while True:
             if u == sink:
                 sent = min(residual[slot] for slot in path)
-                if limit is not None:
-                    sent = min(sent, limit - total)
                 for slot in path:
                     residual[slot] -= sent
                     residual[slot ^ 1] += sent

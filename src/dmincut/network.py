@@ -27,6 +27,10 @@ StateVector = tuple[int, ...]
 # machine-word range even when the implementation language would allow more.
 MAX_TOTAL_CAPACITY = 2**63 - 1
 
+# Guard on the declared node count: the residual adjacency and every search
+# allocate one entry per declared node, however few arcs there are.
+MAX_NODE_COUNT = 10**6
+
 PMF_SUM_TOLERANCE = 1e-12
 
 
@@ -57,6 +61,10 @@ class Network:
     def __post_init__(self):
         if self.node_count < 2:
             raise ValidationError(f"need at least 2 nodes, got {self.node_count}")
+        if self.node_count > MAX_NODE_COUNT:
+            raise ValidationError(
+                f"{self.node_count} nodes exceed the guard MAX_NODE_COUNT={MAX_NODE_COUNT}"
+            )
         if self.source == self.sink:
             raise ValidationError("source and sink must differ")
         for label, node in (("source", self.source), ("sink", self.sink)):
@@ -168,8 +176,8 @@ class EdgeDistribution:
                 raise ValidationError(
                     f"arc {arc.index}: pmf has {len(pmf)} entries, expected {arc.max_capacity + 1}"
                 )
-            if any(p < 0.0 for p in pmf):
-                raise ValidationError(f"arc {arc.index}: negative probability mass")
+            if not all(0.0 <= p <= 1.0 for p in pmf):
+                raise ValidationError(f"arc {arc.index}: probability mass is negative, NaN or above 1")
             if abs(fsum(pmf) - 1.0) > PMF_SUM_TOLERANCE:
                 raise ValidationError(f"arc {arc.index}: pmf sums to {fsum(pmf)!r}, not 1")
 

@@ -131,17 +131,20 @@ def find_all_dmcs(net: Network, demand: int, cuts: list[MinCut]) -> SolveReport:
 
     counters = OperationCounters()
     found: set[StateVector] = set()
-    for cut_index, cut in enumerate(cuts):
+    for cut in cuts:
         generated = 0
-        for candidate in enumerate_candidates(net, cut, demand, origin_cut=cut_index):
+        for vector in enumerate_candidates(net, cut, demand):
             generated += 1
-            counters.candidates_total += 1
-            verdict = verify(net, candidate.vector, demand, counters=counters)
+            verdict = verify(net, vector, demand)
+            counters.maxflow_calls += 1
+            if verdict.flow_value == demand:
+                counters.residual_searches += 1
             if verdict.is_dmc:
-                if candidate.vector in found:
+                if vector in found:
                     counters.duplicates_removed += 1
                 else:
-                    found.add(candidate.vector)
+                    found.add(vector)
+        counters.candidates_total += generated
         counters.candidates_per_cut.append(generated)
 
     per_cut_bounds = [count_candidates(net, cut, demand) for cut in cuts]

@@ -22,43 +22,32 @@ from dataclasses import dataclass
 from .maxflow import lifting_arcs, max_flow, residual_reachable, zero_flow
 from .network import Network, StateVector, bump, unsaturated_set
 
-MODE_CORRECTED = "corrected"
-MODE_FLAWED = "flawed"
-
 
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of a candidate test.
 
     ``failing_arc`` is the lowest-indexed unsaturated arc whose unit bump
-    failed the test, or None; in corrected mode a rejection with
+    failed the test, or None; for ``verify`` a rejection with
     ``flow_value != demand`` happened before any arc was examined.
     """
 
     is_dmc: bool
     flow_value: int
     failing_arc: int | None
-    mode: str
 
 
-def verify(net: Network, state: StateVector, demand: int, counters=None) -> Verdict:
+def verify(net: Network, state: StateVector, demand: int) -> Verdict:
     """Classify ``state`` as d-MC or not at level ``demand`` (sound test).
 
     The reported witness is the lowest-id unsaturated arc whose unit bump
     does not lift the flow, so it is deterministic.
     """
-    net.validate_state(state)
     fs = max_flow(net, state)
-    if counters is not None:
-        counters.maxflow_calls += 1
     if fs.value != demand:
-        return Verdict(is_dmc=False, flow_value=fs.value, failing_arc=None, mode=MODE_CORRECTED)
-    if counters is not None:
-        counters.residual_searches += 1
+        return Verdict(is_dmc=False, flow_value=fs.value, failing_arc=None)
     failing = unsaturated_set(net, state) - lifting_arcs(fs)
-    if failing:
-        return Verdict(is_dmc=False, flow_value=fs.value, failing_arc=min(failing), mode=MODE_CORRECTED)
-    return Verdict(is_dmc=True, flow_value=fs.value, failing_arc=None, mode=MODE_CORRECTED)
+    return Verdict(is_dmc=not failing, flow_value=fs.value, failing_arc=min(failing, default=None))
 
 
 def verify_flawed(net: Network, state: StateVector, demand: int) -> Verdict:
@@ -69,10 +58,9 @@ def verify_flawed(net: Network, state: StateVector, demand: int) -> Verdict:
     candidates with W(state) != demand can be (wrongly) accepted.  The flow
     value is still computed for reporting.
     """
-    net.validate_state(state)
     fs = max_flow(net, state)
     for arc_id in sorted(unsaturated_set(net, state)):
         plain = zero_flow(net, bump(net, state, arc_id))
         if not residual_reachable(plain):
-            return Verdict(is_dmc=False, flow_value=fs.value, failing_arc=arc_id, mode=MODE_FLAWED)
-    return Verdict(is_dmc=True, flow_value=fs.value, failing_arc=None, mode=MODE_FLAWED)
+            return Verdict(is_dmc=False, flow_value=fs.value, failing_arc=arc_id)
+    return Verdict(is_dmc=True, flow_value=fs.value, failing_arc=None)

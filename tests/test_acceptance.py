@@ -78,7 +78,7 @@ def test_acceptance_1_counterexample_reproduction(fig1):
     started = time.perf_counter()
     cut = (1, 3, 4, 6)
     candidate = (0, 2, 3, 1, 3, 3)
-    generated = [c.vector for c in enumerate_candidates(fig1, cut, 7)]
+    generated = list(enumerate_candidates(fig1, cut, 7))
     assert candidate in generated
     bumped_value = max_flow(fig1, (1, 2, 3, 1, 3, 3)).value
     assert bumped_value == 6
@@ -124,12 +124,12 @@ def test_acceptance_3_residual_route_equals_direct_inequality(sweep):
         for demand in range(0, top + 2):
             for cut in record.cuts:
                 for cand in enumerate_candidates(net, cut, demand):
-                    if record.table[cand.vector] != demand:
+                    if record.table[cand] != demand:
                         continue
-                    fs = max_flow(net, cand.vector)
+                    fs = max_flow(net, cand)
                     lifting = lifting_arcs(fs)
-                    for arc_id in sorted(unsaturated_set(net, cand.vector)):
-                        bumped = bump(net, cand.vector, arc_id)
+                    for arc_id in sorted(unsaturated_set(net, cand)):
+                        bumped = bump(net, cand, arc_id)
                         via_residual = residual_reachable(replace(fs, capacities=bumped))
                         via_inequality = record.table[bumped] > demand
                         if via_residual is via_inequality:

@@ -15,7 +15,7 @@ def brute_count(caps, total):
 
 def test_fig1_demand7_contains_the_benchmark_candidate(fig1):
     cut = (1, 3, 4, 6)
-    vectors = [c.vector for c in enumerate_candidates(fig1, cut, 7)]
+    vectors = list(enumerate_candidates(fig1, cut, 7))
     assert (0, 2, 3, 1, 3, 3) in vectors
     assert len(vectors) == count_candidates(fig1, cut, 7) == 23
 
@@ -25,17 +25,15 @@ def test_candidate_invariants(fig1):
     off_cut = [i for i in range(6) if i + 1 not in cut]
     seen = set()
     previous = None
-    for k, cand in enumerate(enumerate_candidates(fig1, cut, 7, origin_cut=3), start=1):
-        assert cand.origin_cut == 3
-        assert cand.ordinal == k
-        on_cut = tuple(cand.vector[a - 1] for a in cut)
+    for cand in enumerate_candidates(fig1, cut, 7):
+        on_cut = tuple(cand[a - 1] for a in cut)
         assert sum(on_cut) == 7
         for a in cut:
-            assert 0 <= cand.vector[a - 1] <= fig1.max_capacities[a - 1]
+            assert 0 <= cand[a - 1] <= fig1.max_capacities[a - 1]
         for i in off_cut:
-            assert cand.vector[i] == fig1.max_capacities[i]
-        assert cand.vector not in seen
-        seen.add(cand.vector)
+            assert cand[i] == fig1.max_capacities[i]
+        assert cand not in seen
+        seen.add(cand)
         if previous is not None:
             assert previous < on_cut  # ascending lexicographic on-cut order
         previous = on_cut
@@ -43,14 +41,14 @@ def test_candidate_invariants(fig1):
 
 def test_demand_zero_yields_exactly_one_candidate(fig1):
     for cut in [(1, 2, 3), (1, 3, 4, 6)]:
-        vectors = [c.vector for c in enumerate_candidates(fig1, cut, 0)]
+        vectors = list(enumerate_candidates(fig1, cut, 0))
         assert len(vectors) == 1
         assert all(vectors[0][a - 1] == 0 for a in cut)
 
 
 def test_full_demand_yields_saturated_candidate(fig1):
     cut = (1, 3, 4, 6)
-    vectors = [c.vector for c in enumerate_candidates(fig1, cut, 4 + 3 + 1 + 3)]
+    vectors = list(enumerate_candidates(fig1, cut, 4 + 3 + 1 + 3))
     assert vectors == [(4, 2, 3, 1, 3, 3)]
 
 
@@ -103,6 +101,5 @@ def test_streams_are_independent(fig1):
     a = enumerate_candidates(fig1, (1, 3, 4, 6), 7)
     b = enumerate_candidates(fig1, (1, 3, 4, 6), 7)
     first_a = next(a)
-    list(b)
-    assert next(a).ordinal == 2
-    assert first_a.ordinal == 1
+    all_b = list(b)
+    assert [first_a, next(a)] == all_b[:2]

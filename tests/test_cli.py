@@ -179,6 +179,50 @@ def test_mincuts_subset_scan_guard_exits_4(capsys, tmp_path):
     assert "SUBSET_SCAN_GUARD" in err and "--cuts" in err
 
 
+def test_mincuts_subset_scan_guard_on_huge_network_exits_4(capsys, tmp_path):
+    # 2^19998 subsets: the refusal must not print that number in decimal.
+    net = tmp_path / "wide.net"
+    net.write_text("nodes 20000 source 1 sink 2\nedge 1 1 2 1\n")
+    code, out, err = run(capsys, "mincuts", str(net))
+    assert code == 4
+    assert out == ""
+    assert "2^19998 node subsets" in err
+
+
+def test_node_count_above_guard_exits_2(capsys, tmp_path):
+    net = tmp_path / "huge.net"
+    net.write_text("nodes 1000001 source 1 sink 2\nedge 1 1 2 1\n")
+    cuts = tmp_path / "huge.cuts"
+    cuts.write_text("cut 1 1\n")
+    code, out, err = run(capsys, "solve", str(net), "--demand", "1", "--cuts", str(cuts))
+    assert code == 2
+    assert out == ""
+    assert "MAX_NODE_COUNT" in err
+
+
+def test_non_utf8_input_exits_2(capsys, tmp_path):
+    binary = tmp_path / "binary.dat"
+    binary.write_bytes(b"nodes 2 source 1 sink 2\n\xff\xfe\x00")
+    for argv in (
+        ("solve", str(binary), "--demand", "1"),
+        ("solve", FIG1, "--demand", "1", "--cuts", str(binary)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{binary}: not a UTF-8 text file" in err
+
+
+def test_reliability_nan_pmf_exits_2(capsys, tmp_path):
+    net = tmp_path / "nan.net"
+    net.write_text("nodes 2 source 1 sink 2\nedge 1 1 2 1\nprob 1 0.5 nan\n")
+    for method in ("dmcs", "exhaustive"):
+        code, out, err = run(capsys, "reliability", str(net), "--demand", "1", "--method", method)
+        assert code == 2
+        assert out == ""
+        assert "NaN" in err
+
+
 def test_check_flaw_long_path_with_cut_file(capsys, tmp_path):
     # 30 nodes in a row: past the subset-scan guard, so only a cut file helps.
     net = tmp_path / "path.net"

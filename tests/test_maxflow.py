@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,8 @@ from dmincut import (
     Network,
     bump,
     check_one_more_unit,
+    enumerate_candidates,
+    enumerate_min_cuts,
     lifting_arcs,
     max_flow,
     max_flow_value,
@@ -79,14 +82,6 @@ def test_deterministic_flow(fig1):
     assert a == b
 
 
-def test_limit_stops_exactly():
-    net = parse_network("nodes 2 source 1 sink 2\nedge 1 1 2 5\n")
-    for limit in range(0, 7):
-        fs = max_flow(net, (5,), limit=limit)
-        assert fs.value == min(limit, 5)
-        assert_feasible(fs)
-
-
 def test_residual_reachable_at_maximality(fig1):
     rng = random.Random(103)
     for state in [saturated_vector(fig1), (1, 2, 3, 1, 3, 3), (0, 2, 3, 1, 3, 3)]:
@@ -98,10 +93,19 @@ def test_residual_reachable_at_maximality(fig1):
 
 
 def test_residual_reachable_below_maximum(fig1):
-    full = max_flow(fig1, saturated_vector(fig1)).value
+    # A candidate X of a minimum-capacity cut at level d has W(X) = d: each
+    # unit taken off the saturated state lowers the flow by at most one, and
+    # the cut caps it at d.  Its max flow, read under the saturated
+    # capacities, is a feasible flow of value d below the maximum.
+    saturated = saturated_vector(fig1)
+    full = max_flow(fig1, saturated).value
+    cut = min(enumerate_min_cuts(fig1), key=lambda c: sum(saturated[a - 1] for a in c))
+    assert sum(saturated[a - 1] for a in cut) == full
     for d in range(full):
-        fs = max_flow(fig1, saturated_vector(fig1), limit=d)
+        state = next(enumerate_candidates(fig1, cut, d))
+        fs = replace(max_flow(fig1, state), capacities=saturated)
         assert fs.value == d
+        assert_feasible(fs)
         assert residual_reachable(fs)
 
 

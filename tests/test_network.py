@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,7 +16,7 @@ from dmincut import (
     serialize_network,
     unsaturated_set,
 )
-from dmincut.network import MAX_TOTAL_CAPACITY
+from dmincut.network import MAX_NODE_COUNT, MAX_TOTAL_CAPACITY
 
 from helpers import random_network
 
@@ -166,6 +167,32 @@ def test_distribution_negative_mass_rejected(fig1):
     pmfs[0] = (1.2, -0.2, 0.0, 0.0, 0.0)
     with pytest.raises(ValidationError, match="negative"):
         EdgeDistribution(tuple(pmfs)).validate(fig1)
+
+
+@pytest.mark.parametrize("mass", [float("nan"), float("inf"), 1e308])
+def test_distribution_nan_and_oversized_mass_rejected(fig1, mass):
+    pmfs = [tuple(1.0 / (w + 1) for _ in range(w + 1)) for w in fig1.max_capacities]
+    pmfs[3] = (0.5, mass)
+    with pytest.raises(ValidationError, match="arc 4: probability mass is negative, NaN or above 1"):
+        EdgeDistribution(tuple(pmfs)).validate(fig1)
+
+
+def test_parse_prob_nan_rejected():
+    text = "nodes 2 source 1 sink 2\nedge 1 1 2 1\nprob 1 0.5 nan\n"
+    with pytest.raises(ValidationError, match="NaN"):
+        parse_edge_distribution(text, parse_network(text))
+
+
+def test_node_count_guard_refuses_without_allocating_per_node():
+    text = f"nodes {MAX_NODE_COUNT + 1} source 1 sink 2\nedge 1 1 2 1\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="MAX_NODE_COUNT"):
+            parse_network(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # one entry per node would take megabytes
 
 
 def test_distribution_wrong_length_rejected(fig1):

@@ -114,7 +114,7 @@ def test_dedup_invariant_against_recount(fig1):
             1
             for cut in cuts
             for cand in enumerate_candidates(fig1, cut, demand)
-            if verify(fig1, cand.vector, demand).is_dmc
+            if verify(fig1, cand, demand).is_dmc
         )
         assert len(report.dmcs) + report.counters.duplicates_removed == verified_true
 

@@ -23,14 +23,12 @@ def test_benchmark_candidate_rejected_by_sound_test(fig1):
     assert not verdict.is_dmc
     assert verdict.flow_value == 5
     assert verdict.failing_arc is None  # rejected on the flow clause, before any arc
-    assert verdict.mode == "corrected"
 
 
 def test_benchmark_candidate_accepted_by_flawed_test(fig1):
     verdict = verify_flawed(fig1, (0, 2, 3, 1, 3, 3), 7)
     assert verdict.is_dmc
     assert verdict.flow_value == 5
-    assert verdict.mode == "flawed"
 
 
 def test_flaw_witness_exists_at_demand_7(fig1):
@@ -38,8 +36,8 @@ def test_flaw_witness_exists_at_demand_7(fig1):
     witnesses = []
     for cut in enumerate_min_cuts(fig1):
         for cand in enumerate_candidates(fig1, cut, 7):
-            if verify(fig1, cand.vector, 7).is_dmc != verify_flawed(fig1, cand.vector, 7).is_dmc:
-                witnesses.append(cand.vector)
+            if verify(fig1, cand, 7).is_dmc != verify_flawed(fig1, cand, 7).is_dmc:
+                witnesses.append(cand)
     assert (0, 2, 3, 1, 3, 3) in witnesses
 
 
@@ -125,12 +123,12 @@ def test_residual_route_matches_direct_inequality_for_candidates(fig1):
     for cut in enumerate_min_cuts(fig1):
         for demand in range(0, 10):
             for cand in enumerate_candidates(fig1, cut, demand):
-                if max_flow_value(fig1, cand.vector) != demand:
+                if max_flow_value(fig1, cand) != demand:
                     continue
-                verdict = verify(fig1, cand.vector, demand)
+                verdict = verify(fig1, cand, demand)
                 direct = all(
-                    max_flow_value(fig1, bump(fig1, cand.vector, a)) > demand
-                    for a in unsaturated_set(fig1, cand.vector)
+                    max_flow_value(fig1, bump(fig1, cand, a)) > demand
+                    for a in unsaturated_set(fig1, cand)
                 )
                 assert verdict.is_dmc is direct
 
