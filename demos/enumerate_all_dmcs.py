@@ -5,7 +5,7 @@ Shows the full pipeline: minimal cuts in, bounded-composition candidates
 per cut, one max-flow test per candidate, residual checks per unsaturated
 arc, duplicates merged.  The brute-force oracle sweeps the whole capacity
 box and must agree level by level; the operation counters stay within
-their closed-form bounds.
+their counted bounds.
 """
 
 from pathlib import Path

@@ -4,13 +4,13 @@ A d-MC candidate is a state vector that gives the arcs of one minimal cut
 capacities summing to the demand d (each within its maximum) and every
 off-cut arc its full capacity.  A cut's stream yields these vectors as
 plain tuples, lazily, in ascending lexicographic order of the on-cut
-components; the closed-form count uses inclusion-exclusion over capacity
-overflows and doubles as an independent bound on the stream length.
+components.  The stream length is counted apart, by a prefix-sum dynamic
+program over the cut's arcs in O(k*d) for k arcs at demand d; that count is
+the solver's bound on its max-flow calls.
 """
 
 from __future__ import annotations
 
-from math import comb
 from typing import Iterator, Sequence
 
 from .cuts import MinCut
@@ -44,28 +44,31 @@ def compositions(caps: Sequence[int], total: int) -> Iterator[tuple[int, ...]]:
 def count_compositions(caps: Sequence[int], total: int) -> int:
     """Number of vectors 0 <= x_i <= caps[i] with sum(x) == total.
 
-    Inclusion-exclusion over the arcs forced past their cap: subtracting
-    cap+1 from the total for each member of an overflow set reduces the
-    bounded count to unbounded stars-and-bars terms.
+    ``ways[s]`` counts the vectors over the arcs seen so far that sum to s;
+    an arc of capacity c replaces it by the sum of ``ways[s-c..s]``, kept as
+    a sliding window, so each arc costs O(total).  Caps are first clipped
+    to the total, and the complement x_i -> caps[i] - x_i maps the count at
+    the total to the count at sum(caps) - total, so the table is as short as
+    the smaller of the two and never longer than the count itself.
     """
     if total < 0:
         return 0
-    k = len(caps)
-    if k == 0:
-        return 1 if total == 0 else 0
-    count = 0
-    for mask in range(1 << k):
-        reduced = total
-        bits = 0
-        for i in range(k):
-            if mask >> i & 1:
-                reduced -= caps[i] + 1
-                bits += 1
-        if reduced < 0:
-            continue
-        term = comb(reduced + k - 1, k - 1)
-        count += -term if bits % 2 else term
-    return count
+    caps = [min(cap, total) for cap in caps]
+    spare = sum(caps) - total
+    if spare < 0:
+        return 0
+    total = min(total, spare)
+    ways = [1] + [0] * total
+    for cap in caps:
+        window = 0
+        row = []
+        for s, count in enumerate(ways):
+            window += count
+            if s > cap:
+                window -= ways[s - cap - 1]
+            row.append(window)
+        ways = row
+    return ways[total]
 
 
 def enumerate_candidates(net: Network, cut: MinCut, demand: int) -> Iterator[StateVector]:

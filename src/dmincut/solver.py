@@ -163,7 +163,7 @@ def find_all_dmcs(net: Network, demand: int, cuts: list[MinCut]) -> SolveReport:
 
 
 def audit_complexity(report: SolveReport) -> bool:
-    """Check the operation counts against their closed-form bounds.
+    """Check the operation counts against their counted bounds.
 
     Max-flow usage must not exceed the summed per-cut candidate counts
     (which in turn cannot exceed cuts x max-per-cut), and residual

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
-from math import fsum
+from math import comb, fsum
 
 from dmincut import Arc, EdgeDistribution, Network, state_space_size
 
@@ -158,3 +158,23 @@ def union_by_box_sweep(net: Network, vectors, dist: EdgeDistribution) -> float:
                 mass *= pmf[x]
             terms.append(mass)
     return fsum(terms)
+
+
+def count_by_inclusion_exclusion(caps, total: int) -> int:
+    """Number of vectors 0 <= x_i <= caps[i] with sum(x) == total, by signed overflow terms.
+
+    Inclusion-exclusion over the groups of arcs forced past their cap:
+    subtracting cap+1 from the total for each member of a group reduces the
+    bounded count to an unbounded stars-and-bars term.  Only groups that
+    leave a nonnegative total contribute, so only those are built; there
+    are up to 2^k of them.
+    """
+    k = len(caps)
+    if total < 0:
+        return 0
+    if k == 0:
+        return 1 if total == 0 else 0
+    groups = [(total, 0)]  # (reduced total, group size)
+    for cap in caps:
+        groups += [(reduced - cap - 1, size + 1) for reduced, size in groups if reduced > cap]
+    return sum((-1) ** size * comb(reduced + k - 1, k - 1) for reduced, size in groups)

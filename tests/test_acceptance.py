@@ -39,7 +39,7 @@ from dmincut.candidates import compositions
 from dmincut.network import bump
 
 from conftest import FIXTURES
-from helpers import random_distribution, random_network
+from helpers import count_by_inclusion_exclusion, random_distribution, random_network
 
 SWEEP_SEED = 8415
 SWEEP_NETWORKS = 200
@@ -213,7 +213,8 @@ def test_acceptance_7_candidate_counts_on_exhaustive_grid():
             profiles += 1
             for total in range(0, sum(caps) + 2):
                 streamed = sum(1 for _ in compositions(caps, total))
-                if streamed != count_compositions(caps, total):
+                counted = count_compositions(caps, total)
+                if not counted == count_by_inclusion_exclusion(caps, total) == streamed:
                     mismatches += 1
     assert profiles == 7 + 49 + 343 + 2401
     assert mismatches == 0

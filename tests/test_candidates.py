@@ -6,6 +6,8 @@ import pytest
 from dmincut import count_candidates, count_compositions, enumerate_candidates
 from dmincut.candidates import compositions
 
+from helpers import count_by_inclusion_exclusion
+
 
 def brute_count(caps, total):
     return sum(
@@ -81,7 +83,25 @@ def test_stream_length_equals_count_on_random_profiles():
         k = rng.randint(1, 5)
         caps = tuple(rng.randint(0, 5) for _ in range(k))
         for total in range(sum(caps) + 2):
-            assert sum(1 for _ in compositions(caps, total)) == count_compositions(caps, total)
+            streamed = sum(1 for _ in compositions(caps, total))
+            assert count_compositions(caps, total) == count_by_inclusion_exclusion(caps, total) == streamed
+
+
+def test_count_matches_inclusion_exclusion_on_wide_cuts():
+    # Up to 17 arcs, the widest cut of the 5x5 grid; too many vectors to stream.
+    rng = random.Random(303)
+    for _ in range(60):
+        k = rng.randint(1, 17)
+        caps = tuple(rng.randint(0, 3) for _ in range(k))
+        for total in [0, 1, 2, 3, rng.randint(0, sum(caps) + 1), sum(caps)]:
+            assert count_compositions(caps, total) == count_by_inclusion_exclusion(caps, total)
+
+
+def test_count_table_stays_short_for_huge_capacities():
+    # Clipping and the complement keep the table as short as the count.
+    assert count_compositions((10**12, 1, 1), 5 * 10**11) == 4
+    assert count_compositions((10**12, 3), 10**12 + 2) == 2
+    assert count_compositions((10**12, 10**12), 3 * 10**12) == 0
 
 
 def test_counts_partition_the_box():

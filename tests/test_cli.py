@@ -18,6 +18,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def path_network(tmp_path, nodes, capacity=1):
+    net = tmp_path / "path.net"
+    net.write_text(
+        f"nodes {nodes} source 1 sink {nodes}\n"
+        + "".join(f"edge {v} {v} {v + 1} {capacity}\n" for v in range(1, nodes))
+    )
+    return str(net)
+
+
 def test_solve_demand7_listing(capsys):
     code, out, _ = run(capsys, "solve", "--network", FIG1, "--demand", "7")
     assert code == 0
@@ -77,14 +86,10 @@ def test_solve_long_path_with_cut_file(capsys, tmp_path):
     # 1,200 nodes in a row: augmenting paths longer than the interpreter's
     # recursion limit.
     nodes = 1200
-    net = tmp_path / "path.net"
-    net.write_text(
-        f"nodes {nodes} source 1 sink {nodes}\n"
-        + "".join(f"edge {v} {v} {v + 1} 2\n" for v in range(1, nodes))
-    )
+    net = path_network(tmp_path, nodes, capacity=2)
     cuts = tmp_path / "path.cuts"
     cuts.write_text("cut 1 1\n")
-    code, out, err = run(capsys, "solve", str(net), "--demand", "1", "--cuts", str(cuts))
+    code, out, err = run(capsys, "solve", net, "--demand", "1", "--cuts", str(cuts))
     assert code == 0
     assert err == ""
     assert [line for line in out.splitlines() if line.startswith("(")] == [
@@ -167,26 +172,54 @@ def test_mincuts_disconnected_exits_2(capsys, tmp_path):
     assert "unreachable" in err
 
 
-def test_mincuts_subset_scan_guard_exits_4(capsys, tmp_path):
-    # 30 nodes in a row: 2^28 node subsets, past the scan guard.
-    net = tmp_path / "path.net"
-    net.write_text(
-        "nodes 30 source 1 sink 30\n" + "".join(f"edge {v} {v} {v + 1} 1\n" for v in range(1, 30))
-    )
-    code, out, err = run(capsys, "mincuts", str(net))
-    assert code == 4
-    assert out == ""
-    assert "SUBSET_SCAN_GUARD" in err and "--cuts" in err
+def test_mincuts_lists_every_cut_of_a_30_node_path(capsys, tmp_path):
+    # 2^28 node subsets, but only 29 cuts to find.
+    code, out, err = run(capsys, "mincuts", path_network(tmp_path, 30))
+    assert code == 0
+    assert err == ""
+    assert out.splitlines() == [f"cut {k} {k}" for k in range(1, 30)]
 
 
-def test_mincuts_subset_scan_guard_on_huge_network_exits_4(capsys, tmp_path):
-    # 2^19998 subsets: the refusal must not print that number in decimal.
+def test_mincuts_on_huge_network_with_one_arc(capsys, tmp_path):
+    # 20,000 declared nodes, 19,998 of them isolated.
     net = tmp_path / "wide.net"
     net.write_text("nodes 20000 source 1 sink 2\nedge 1 1 2 1\n")
     code, out, err = run(capsys, "mincuts", str(net))
+    assert code == 0
+    assert err == ""
+    assert out == "cut 1 1\n"
+
+
+def test_mincuts_cut_search_guard_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr("dmincut.cuts.CUT_SEARCH_GUARD", 20)
+    code, out, err = run(capsys, "mincuts", FIG1)
     assert code == 4
     assert out == ""
-    assert "2^19998 node subsets" in err
+    assert "CUT_SEARCH_GUARD" in err and "--cuts" in err
+
+
+def test_mincuts_long_path_has_no_traceback(capsys, tmp_path):
+    # 1,200 nodes in a row: a search deeper than the interpreter's recursion limit.
+    code, out, err = run(capsys, "mincuts", path_network(tmp_path, 1200))
+    assert code == 0
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == 1199
+    assert lines[0] == "cut 1 1" and lines[-1] == "cut 1199 1199"
+
+
+def test_commands_without_cut_file_run_on_a_30_node_path(capsys, tmp_path):
+    net = path_network(tmp_path, 30, capacity=2)
+    code, out, err = run(capsys, "check-flaw", net, "--demand", "1")
+    assert (code, out, err) == (0, "disagreements: 0\n", "")
+    prob = tmp_path / "path_prob.net"
+    prob.write_text(
+        (tmp_path / "path.net").read_text() + "".join(f"prob {v} 0.25 0.25 0.5\n" for v in range(1, 30))
+    )
+    code, out, err = run(capsys, "reliability", str(prob), "--demand", "2", "--method", "dmcs")
+    assert code == 0
+    assert err == ""
+    assert out == f"{0.5 ** 29:.12f}\n"
 
 
 def test_node_count_above_guard_exits_2(capsys, tmp_path):
@@ -224,14 +257,11 @@ def test_reliability_nan_pmf_exits_2(capsys, tmp_path):
 
 
 def test_check_flaw_long_path_with_cut_file(capsys, tmp_path):
-    # 30 nodes in a row: past the subset-scan guard, so only a cut file helps.
-    net = tmp_path / "path.net"
-    net.write_text(
-        "nodes 30 source 1 sink 30\n" + "".join(f"edge {v} {v} {v + 1} 2\n" for v in range(1, 30))
-    )
+    # 30 nodes in a row, given a partial cut file.
+    net = path_network(tmp_path, 30, capacity=2)
     cuts = tmp_path / "path.cuts"
     cuts.write_text("cut 1 1\n")
-    code, out, err = run(capsys, "check-flaw", str(net), "--demand", "1", "--cuts", str(cuts))
+    code, out, err = run(capsys, "check-flaw", net, "--demand", "1", "--cuts", str(cuts))
     assert code == 0
     assert err == ""
     assert out == "disagreements: 0\n"
