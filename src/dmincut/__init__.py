@@ -12,14 +12,8 @@ everything against brute-force oracles.
 
 from .candidates import count_candidates, count_compositions, enumerate_candidates
 from .cuts import MinCut, enumerate_min_cuts, format_cuts, is_min_cut, parse_cuts
-from .errors import (
-    ContractError,
-    DmincutError,
-    NetworkParseError,
-    StateSpaceLimitError,
-    ValidationError,
-)
-from .maxflow import FlowState, check_one_more_unit, lifting_arcs, max_flow, residual_levels
+from .errors import DmincutError, NetworkParseError, StateSpaceLimitError, ValidationError
+from .maxflow import FlowState, lifting_arcs, max_flow, residual_levels
 from .maxflow import residual_reachable, zero_flow
 from .network import (
     Arc,
@@ -50,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Arc",
-    "ContractError",
     "DmincutError",
     "EdgeDistribution",
     "FlowState",
@@ -66,7 +59,6 @@ __all__ = [
     "audit_complexity",
     "brute_force_dmcs",
     "bump",
-    "check_one_more_unit",
     "count_candidates",
     "count_compositions",
     "dmc_levels",

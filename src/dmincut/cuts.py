@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .errors import NetworkParseError, StateSpaceLimitError, ValidationError
 from .maxflow import residual_levels
-from .network import Network, _tokenize
+from .network import Network, _parse_int, _tokenize
 
 MinCut = tuple[int, ...]
 
@@ -134,13 +134,18 @@ def parse_cuts(text: str, net: Network) -> list[MinCut]:
             raise NetworkParseError(line_no, f"unknown directive {tokens[0]!r}")
         if len(tokens) < 3:
             raise NetworkParseError(line_no, "expected 'cut <id> <arc_id> ...'")
+        _parse_int(tokens[1], line_no, "cut id")
         try:
             arc_ids = tuple(sorted(int(t) for t in tokens[2:]))
         except ValueError:
             raise NetworkParseError(line_no, "arc ids must be integers") from None
         if len(set(arc_ids)) != len(arc_ids):
             raise NetworkParseError(line_no, "repeated arc id within a cut")
-        if not is_min_cut(net, arc_ids):
+        try:
+            minimal = is_min_cut(net, arc_ids)
+        except ValidationError as exc:
+            raise ValidationError(f"line {line_no}: {exc}") from None
+        if not minimal:
             raise ValidationError(f"line {line_no}: {arc_ids} is not a minimal cut")
         if arc_ids in seen:
             raise ValidationError(f"line {line_no}: duplicate cut {arc_ids}")

@@ -17,9 +17,5 @@ class ValidationError(DmincutError, ValueError):
     """Structurally well-formed input that violates a model invariant."""
 
 
-class ContractError(DmincutError, ValueError):
-    """A documented precondition was violated by the caller."""
-
-
 class StateSpaceLimitError(DmincutError, RuntimeError):
     """Exhaustive computation refused because the state space exceeds the guard."""

@@ -17,11 +17,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import ContractError
-from .network import Network, StateVector, unsaturated_set
+from .network import Network, StateVector
 
 __all__ = ["FlowState", "max_flow", "residual_levels", "residual_reachable", "lifting_arcs",
-           "check_one_more_unit", "zero_flow"]
+           "zero_flow"]
 
 
 @dataclass(frozen=True)
@@ -148,22 +147,3 @@ def lifting_arcs(fs: FlowState) -> set[int]:
     from_source = residual_levels(net, residual, net.source)
     to_sink = residual_levels(net, residual, net.sink, backward=1)
     return {a.index for a in net.arcs if from_source[a.tail] >= 0 and to_sink[a.head] >= 0}
-
-
-def check_one_more_unit(net: Network, state: StateVector, demand: int, arc_id: int) -> bool:
-    """Decide whether raising arc ``arc_id`` by one unit lifts the max flow above ``demand``.
-
-    Requires W(state) == demand and ``arc_id`` unsaturated; both are
-    enforced because dropping the first hypothesis is exactly what makes
-    the naive acceptance test unsound.  With ``demand`` units in place the
-    answer is membership in :func:`lifting_arcs`, which is equivalent to
-    W(state + unit) > demand.
-    """
-    fs = max_flow(net, state)
-    if fs.value != demand:
-        raise ContractError(
-            f"max flow of the state is {fs.value}, not the required {demand}"
-        )
-    if arc_id not in unsaturated_set(net, state):
-        raise ContractError(f"arc {arc_id} is already saturated")
-    return arc_id in lifting_arcs(fs)

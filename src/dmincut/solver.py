@@ -16,7 +16,8 @@ number of candidates examined.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from copy import copy
+from dataclasses import dataclass, field, fields
 
 from .candidates import count_candidates, enumerate_candidates
 from .cuts import MinCut, is_min_cut
@@ -35,23 +36,11 @@ class OperationCounters:
     duplicates_removed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "maxflow_calls": self.maxflow_calls,
-            "candidates_total": self.candidates_total,
-            "candidates_per_cut": list(self.candidates_per_cut),
-            "residual_searches": self.residual_searches,
-            "duplicates_removed": self.duplicates_removed,
-        }
+        return {f.name: copy(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "OperationCounters":
-        return cls(
-            maxflow_calls=data["maxflow_calls"],
-            candidates_total=data["candidates_total"],
-            candidates_per_cut=list(data["candidates_per_cut"]),
-            residual_searches=data["residual_searches"],
-            duplicates_removed=data["duplicates_removed"],
-        )
+        return cls(**{f.name: copy(data[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -69,31 +58,17 @@ class SolveReport:
     diagnostic: str | None
 
     def to_dict(self) -> dict:
-        return {
-            "demand": self.demand,
-            "cut_count": self.cut_count,
-            "arc_count": self.arc_count,
-            "max_candidates_per_cut": self.max_candidates_per_cut,
-            "total_candidate_bound": self.total_candidate_bound,
-            "dmcs": [list(v) for v in self.dmcs],
-            "counters": self.counters.to_dict(),
-            "infeasible_demand": self.infeasible_demand,
-            "diagnostic": self.diagnostic,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["dmcs"] = [list(v) for v in self.dmcs]
+        data["counters"] = self.counters.to_dict()
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolveReport":
-        return cls(
-            demand=data["demand"],
-            cut_count=data["cut_count"],
-            arc_count=data["arc_count"],
-            max_candidates_per_cut=data["max_candidates_per_cut"],
-            total_candidate_bound=data["total_candidate_bound"],
-            dmcs=tuple(tuple(v) for v in data["dmcs"]),
-            counters=OperationCounters.from_dict(data["counters"]),
-            infeasible_demand=data["infeasible_demand"],
-            diagnostic=data["diagnostic"],
-        )
+        values = {f.name: data[f.name] for f in fields(cls)}
+        values["dmcs"] = tuple(tuple(v) for v in values["dmcs"])
+        values["counters"] = OperationCounters.from_dict(values["counters"])
+        return cls(**values)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)

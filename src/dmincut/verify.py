@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .maxflow import lifting_arcs, max_flow, residual_reachable, zero_flow
-from .network import Network, StateVector, bump, unsaturated_set
+from .network import Network, StateVector, unsaturated_set
 
 
 @dataclass(frozen=True)
@@ -51,16 +51,19 @@ def verify(net: Network, state: StateVector, demand: int) -> Verdict:
 
 
 def verify_flawed(net: Network, state: StateVector, demand: int) -> Verdict:
-    """The unsound published test, reproduced verbatim for diagnostics.
+    """The unsound published test, reproduced for diagnostics.
 
     Accepts whenever every unsaturated arc's bumped capacity graph has any
     source-sink path of positive capacities; never consults the demand, so
-    candidates with W(state) != demand can be (wrongly) accepted.  The flow
-    value is still computed for reporting.
+    candidates with W(state) != demand can be (wrongly) accepted.  One pass
+    decides every bump: if ``state`` itself has such a path, every bump
+    keeps it; if not, the zero flow is a maximum flow, so the bumps that
+    open a path are exactly its :func:`lifting_arcs`.  The flow value is
+    still computed for reporting.
     """
     fs = max_flow(net, state)
-    for arc_id in sorted(unsaturated_set(net, state)):
-        plain = zero_flow(net, bump(net, state, arc_id))
-        if not residual_reachable(plain):
-            return Verdict(is_dmc=False, flow_value=fs.value, failing_arc=arc_id)
-    return Verdict(is_dmc=True, flow_value=fs.value, failing_arc=None)
+    plain = zero_flow(net, state)
+    if residual_reachable(plain):
+        return Verdict(is_dmc=True, flow_value=fs.value, failing_arc=None)
+    failing = unsaturated_set(net, state) - lifting_arcs(plain)
+    return Verdict(is_dmc=not failing, flow_value=fs.value, failing_arc=min(failing, default=None))

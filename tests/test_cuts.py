@@ -6,6 +6,7 @@ import pytest
 from dmincut import (
     Arc,
     Network,
+    NetworkParseError,
     ValidationError,
     enumerate_min_cuts,
     format_cuts,
@@ -14,8 +15,10 @@ from dmincut import (
     parse_cuts,
     saturated_vector,
 )
+from dmincut.cli import main
 from dmincut.network import parse_network
 
+from conftest import FIXTURES
 from helpers import min_cuts_by_subsets, random_network
 
 
@@ -129,6 +132,33 @@ def test_cut_file_invalid_cut_rejected(fig1):
 def test_cut_file_duplicate_rejected(fig1):
     with pytest.raises(ValidationError, match="duplicate"):
         parse_cuts("cut 1 2 3 5\ncut 2 5 3 2\n", fig1)
+
+
+def refusal_on_the_command_line(capsys, tmp_path, text):
+    cuts = tmp_path / "bad.cuts"
+    cuts.write_text(text)
+    code = main(["solve", str(FIXTURES / "fig1.net"), "--demand", "7", "--cuts", str(cuts)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+def test_cut_file_arc_id_out_of_range_names_its_line(fig1, capsys, tmp_path):
+    text = "cut 1 1 2 3\ncut 2 99\n"
+    with pytest.raises(ValidationError, match=r"^line 2: arc id 99 outside \[1, 6\]$"):
+        parse_cuts(text, fig1)
+    assert refusal_on_the_command_line(capsys, tmp_path, text) == (
+        2, "error: line 2: arc id 99 outside [1, 6]\n"
+    )
+
+
+def test_cut_file_non_integer_cut_id_rejected(fig1, capsys, tmp_path):
+    text = "cut x 1 2 3\n"
+    with pytest.raises(NetworkParseError, match=r"^line 1: cut id must be an integer, got 'x'$"):
+        parse_cuts(text, fig1)
+    assert refusal_on_the_command_line(capsys, tmp_path, text) == (
+        2, "error: line 1: cut id must be an integer, got 'x'\n"
+    )
 
 
 def test_cut_file_empty_rejected(fig1):

@@ -5,10 +5,8 @@ import pytest
 
 from dmincut import (
     Arc,
-    ContractError,
     Network,
     bump,
-    check_one_more_unit,
     enumerate_candidates,
     enumerate_min_cuts,
     lifting_arcs,
@@ -194,31 +192,25 @@ def test_residual_levels_backward_is_forward_on_reversed_network():
             )
 
 
-def test_check_one_more_unit_contract_errors(fig1):
-    # The max-flow hypothesis is enforced, not assumed.
-    with pytest.raises(ContractError, match="not the required 7"):
-        check_one_more_unit(fig1, (0, 2, 3, 1, 3, 3), 7, 1)
-    with pytest.raises(ContractError, match="saturated"):
-        check_one_more_unit(fig1, (4, 2, 2, 1, 3, 3), 7, 1)
-
-
-def test_check_one_more_unit_fig1_cases(fig1):
-    assert check_one_more_unit(fig1, (0, 2, 3, 1, 3, 3), 5, 1) is True
+def test_lifting_arcs_fig1_one_more_unit_cases(fig1):
+    # (0,2,3,1,3,3) carries 5 units and one more unit on arc 1 reaches 6.
+    assert 1 in lifting_arcs(max_flow(fig1, (0, 2, 3, 1, 3, 3)))
     # (3,2,3,1,3,3) has max flow 8 and bumping arc 1 cannot beat the
-    # saturated value 8, so the answer is False.
-    assert check_one_more_unit(fig1, (3, 2, 3, 1, 3, 3), 8, 1) is False
+    # saturated value 8.
+    assert 1 not in lifting_arcs(max_flow(fig1, (3, 2, 3, 1, 3, 3)))
 
 
-def test_check_one_more_unit_matches_direct_inequality():
+def test_lifting_arcs_matches_direct_inequality_per_unsaturated_arc():
     rng = random.Random(105)
     checked = 0
     while checked < 400:
         net = random_network(rng)
         state = random_state(rng, net)
-        demand = max_flow_value(net, state)
+        fs = max_flow(net, state)
+        lifting = lifting_arcs(fs)
         for arc_id in unsaturated_set(net, state):
-            expected = max_flow_value(net, bump(net, state, arc_id)) > demand
-            assert check_one_more_unit(net, state, demand, arc_id) is expected
+            expected = max_flow_value(net, bump(net, state, arc_id)) > fs.value
+            assert (arc_id in lifting) is expected
             checked += 1
 
 

@@ -155,6 +155,28 @@ def test_report_json_round_trip(fig1):
     assert again == report
 
 
+def test_report_schema_is_pinned(fig1):
+    # The keys come from the dataclass fields, so a new field changes the
+    # documented JSON schema; this keeps that change deliberate.
+    data = find_all_dmcs(fig1, 7, enumerate_min_cuts(fig1)).to_dict()
+    assert list(data) == [
+        "demand", "cut_count", "arc_count", "max_candidates_per_cut", "total_candidate_bound",
+        "dmcs", "counters", "infeasible_demand", "diagnostic",
+    ]
+    assert list(data["counters"]) == [
+        "maxflow_calls", "candidates_total", "candidates_per_cut", "residual_searches",
+        "duplicates_removed",
+    ]
+    assert data["dmcs"][0] == [2, 2, 3, 1, 3, 3]
+    for missing in ("diagnostic", "counters"):
+        with pytest.raises(KeyError, match=missing):
+            SolveReport.from_dict({k: v for k, v in data.items() if k != missing})
+    counters = dict(data["counters"])
+    del counters["duplicates_removed"]
+    with pytest.raises(KeyError, match="duplicates_removed"):
+        SolveReport.from_dict({**data, "counters": counters})
+
+
 def test_preconditions(fig1):
     with pytest.raises(ValidationError):
         find_all_dmcs(fig1, -1, enumerate_min_cuts(fig1))

@@ -15,7 +15,7 @@ from dmincut import (
 )
 from dmincut.network import bump, parse_network
 
-from helpers import box, random_network
+from helpers import box, random_network, reachable_from_source
 
 
 def test_benchmark_candidate_rejected_by_sound_test(fig1):
@@ -115,6 +115,30 @@ def test_flawed_test_never_rejects_a_true_dmc():
                 assert verify_flawed(net, state, demand).is_dmc
                 confirmed += 1
     assert confirmed > 100
+
+
+def test_flawed_verdict_matches_literal_definition():
+    # The published test, read literally: bump each unsaturated arc in turn
+    # and accept iff every bumped graph has a source-sink path of positive
+    # capacities; the witness is the lowest arc whose bump has none.
+    rng = random.Random(403)
+    rejections = 0
+    for _ in range(300):
+        net = random_network(rng)
+        for _ in range(10):
+            # Zero-heavy states, so that plain reachability fails often.
+            state = tuple(rng.randint(0, w) if rng.random() < 0.5 else 0 for w in net.max_capacities)
+            failing = [
+                arc_id
+                for arc_id in sorted(unsaturated_set(net, state))
+                if net.sink not in reachable_from_source(net, positive_caps=bump(net, state, arc_id))
+            ]
+            verdict = verify_flawed(net, state, rng.randint(0, 4))
+            assert verdict.is_dmc is (not failing)
+            assert verdict.failing_arc == (failing[0] if failing else None)
+            assert verdict.flow_value == max_flow_value(net, state)
+            rejections += bool(failing)
+    assert rejections > 1000
 
 
 def test_residual_route_matches_direct_inequality_for_candidates(fig1):
