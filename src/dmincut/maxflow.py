@@ -1,11 +1,12 @@
-"""Max-flow engine: blocking-flow computation and residual searches.
+"""Max-flow engine: shortest augmenting paths and residual searches.
 
 The solver needs three primitives: the max-flow value W(X) of a network
 under a capacity state X, the residual graph of a feasible flow, and the
 question "which arcs, raised by one unit, lift the max flow above the d
-units in place".  A blocking-flow (level graph) method is used; adjacency
-is traversed in ascending arc-id order, so identical inputs always produce
-the identical flow, not merely the same value.
+units in place".  Max flow augments along shortest residual paths
+(Edmonds-Karp), each found by one :func:`residual_levels` search; slots are
+traversed in ascending arc-id order, so identical inputs always produce the
+identical flow, not merely the same value.
 
 Residual bookkeeping is per arc (slot pair), which makes anti-parallel
 arcs work without node-splitting tricks.  Every graph search in the
@@ -63,54 +64,36 @@ def residual_levels(net: Network, residual, start: int, backward: int = 0) -> li
 def max_flow(net: Network, state: StateVector) -> FlowState:
     """Send as much flow as possible from source to sink under ``state``."""
     net.validate_state(state)
-    n = net.node_count
     source, sink = net.source, net.sink
     adj = net.out_slots
     to = net.slot_heads
-    m = net.arc_count
-    residual = [0] * (2 * m)
-    for i in range(m):
-        residual[2 * i] = state[i]
+    residual = [0] * (2 * net.arc_count)
+    residual[::2] = state
 
     total = 0
     while True:
         level = residual_levels(net, residual, source)
         if level[sink] < 0:
             break
-        # Blocking flow: depth-first over an explicit slot stack, so path
-        # length is not bounded by the interpreter's recursion limit.  A node
-        # whose slots run out is retired (level -1) and the search retreats.
-        iters = [0] * (n + 1)
+        # Walk one shortest path back from the sink.  The search reached each
+        # node through a residual slot from the level below, so one is found.
         path: list[int] = []
-        u = source
-        while True:
-            if u == sink:
-                sent = min(residual[slot] for slot in path)
-                for slot in path:
-                    residual[slot] -= sent
-                    residual[slot ^ 1] += sent
-                total += sent
-                path.clear()
-                u = source
-                continue
-            slots = adj[u]
-            while iters[u] < len(slots):
-                slot = slots[iters[u]]
-                v = to[slot]
-                if residual[slot] > 0 and level[v] == level[u] + 1:
-                    path.append(slot)
-                    u = v
+        v = sink
+        while v != source:
+            below = level[v] - 1
+            for slot in adj[v]:
+                u = to[slot]
+                if level[u] == below and residual[slot ^ 1] > 0:
+                    path.append(slot ^ 1)
+                    v = u
                     break
-                iters[u] += 1
-            else:
-                level[u] = -1
-                if not path:
-                    break  # the source is retired: the phase is blocked
-                u = to[path.pop() ^ 1]
-                iters[u] += 1
+        sent = min(residual[slot] for slot in path)
+        for slot in path:
+            residual[slot] -= sent
+            residual[slot ^ 1] += sent
+        total += sent
 
-    flows = tuple(residual[2 * i + 1] for i in range(m))
-    return FlowState(net=net, capacities=state, flows=flows, value=total)
+    return FlowState(net=net, capacities=state, flows=tuple(residual[1::2]), value=total)
 
 
 def zero_flow(net: Network, state: StateVector) -> FlowState:

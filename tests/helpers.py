@@ -112,6 +112,34 @@ def random_network(
         return net
 
 
+def grid_network(rows: int, cols: int, caps) -> Network:
+    """The rows x cols grid: source -> each row start, right and down arcs, each row end -> sink.
+
+    Node 1 is the source, cell (r, c) is node 2 + r*cols + c and the sink is
+    the last node.  Arcs are numbered source arcs first, then each cell's
+    right and down arcs in row-major order, then the sink arcs; ``caps``
+    yields their maximum capacities in that order.
+    """
+    source, sink = 1, rows * cols + 2
+
+    def cell(r, c):
+        return 2 + r * cols + c
+
+    pairs = [(source, cell(r, 0)) for r in range(rows)]
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                pairs.append((cell(r, c), cell(r, c + 1)))
+            if r + 1 < rows:
+                pairs.append((cell(r, c), cell(r + 1, c)))
+    pairs += [(cell(r, cols - 1), sink) for r in range(rows)]
+    caps = iter(caps)
+    arcs = tuple(
+        Arc(index=i, tail=t, head=h, max_capacity=next(caps)) for i, (t, h) in enumerate(pairs, 1)
+    )
+    return Network(node_count=sink, arcs=arcs, source=source, sink=sink)
+
+
 def random_state(rng: random.Random, net: Network):
     return tuple(rng.randint(0, w) for w in net.max_capacities)
 

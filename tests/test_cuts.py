@@ -19,7 +19,7 @@ from dmincut.cli import main
 from dmincut.network import parse_network
 
 from conftest import FIXTURES
-from helpers import min_cuts_by_subsets, random_network
+from helpers import grid_network, min_cuts_by_subsets, random_network
 
 
 def test_fig1_min_cuts(fig1):
@@ -79,24 +79,8 @@ def test_enumeration_matches_subset_oracle_up_to_twelve_arcs():
 
 
 def test_grid_4x4_cut_count_and_no_cut_contains_another():
-    # The perfbench 4x4 grid shape: source -> each row start, right and down
-    # arcs per cell in row-major order, each row end -> sink.
-    rows = cols = 4
-    source, sink = 1, rows * cols + 2
-
-    def cell(r, c):
-        return 2 + r * cols + c
-
-    pairs = [(source, cell(r, 0)) for r in range(rows)]
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                pairs.append((cell(r, c), cell(r, c + 1)))
-            if r + 1 < rows:
-                pairs.append((cell(r, c), cell(r + 1, c)))
-    pairs += [(cell(r, cols - 1), sink) for r in range(rows)]
-    arcs = tuple(Arc(index=i, tail=t, head=h, max_capacity=1) for i, (t, h) in enumerate(pairs, 1))
-    net = Network(node_count=sink, arcs=arcs, source=source, sink=sink)
+    # The perfbench 4x4 grid shape with unit capacities.
+    net = grid_network(4, 4, itertools.repeat(1))
     cuts = enumerate_min_cuts(net)
     assert len(cuts) == 1160
     sets = [frozenset(c) for c in cuts]

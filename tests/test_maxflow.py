@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 
@@ -20,7 +21,7 @@ from dmincut import (
 )
 from dmincut.network import parse_network
 
-from helpers import box, cut_capacity_minimum, random_network, random_state
+from helpers import box, cut_capacity_minimum, grid_network, random_network, random_state
 
 
 def assert_feasible(fs):
@@ -63,6 +64,17 @@ def test_value_matches_cut_oracle_on_random_networks():
             fs = max_flow(net, state)
             assert_feasible(fs)
             assert fs.value == cut_capacity_minimum(net, state)
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 3), (3, 4)])
+def test_value_matches_cut_oracle_on_grids(rows, cols):
+    rng = random.Random(f"grid-{rows}x{cols}")
+    net = grid_network(rows, cols, (rng.randint(1, 3) for _ in itertools.count()))
+    for _ in range(40):
+        state = random_state(rng, net)
+        fs = max_flow(net, state)
+        assert_feasible(fs)
+        assert fs.value == cut_capacity_minimum(net, state)
 
 
 def test_two_engines_agree_on_random_networks():
@@ -131,6 +143,14 @@ ANTI_PARALLEL = (
 )
 
 
+# The first shortest path, 1-2-3-6, puts a unit on arc 3, which no maximum
+# flow uses: the third path, 1-4-3-2-5-6, must cancel it by running 3 -> 2.
+FLOW_CANCELLING = (
+    "nodes 6 source 1 sink 6\nedge 1 1 2 1\nedge 2 1 4 3\nedge 3 2 3 1\nedge 4 2 5 2\n"
+    "edge 5 3 6 2\nedge 6 4 3 3\nedge 7 5 6 3\n"
+)
+
+
 def assert_lifting_matches_definition(net):
     # One spare unit on every arc, so saturated arcs can be bumped too.
     wide = Network(
@@ -160,6 +180,18 @@ def test_lifting_arcs_anti_parallel_pair():
     net = parse_network(ANTI_PARALLEL)  # arcs 3 and 4 join nodes 2 and 3 both ways
     assert lifting_arcs(max_flow(net, (2, 1, 1, 1, 0, 2))) == {5}
     assert lifting_arcs(max_flow(net, (2, 0, 2, 1, 1, 2))) == {1, 2}
+    assert_lifting_matches_definition(net)
+
+
+def test_flow_cancelling_path():
+    net = parse_network(FLOW_CANCELLING)
+    fs = max_flow(net, saturated_vector(net))
+    assert fs.value == 3
+    assert fs.flows == (1, 2, 0, 1, 2, 2, 1)  # the only maximum flow
+    for state in box(net):
+        fs = max_flow(net, state)
+        assert_feasible(fs)
+        assert fs.value == max_flow_value(net, state), state
     assert_lifting_matches_definition(net)
 
 

@@ -1,27 +1,30 @@
-"""Property tests on generated networks: cut enumeration, lifting arcs and the file format."""
+"""Property tests on generated networks: cut enumeration, lifting arcs, the solver and the file format."""
 
 from dataclasses import replace
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from dmincut import (  # noqa: E402
     Arc,
     EdgeDistribution,
     Network,
     ValidationError,
+    dmc_levels,
     enumerate_min_cuts,
+    find_all_dmcs,
     lifting_arcs,
     max_flow,
     max_flow_value,
     parse_edge_distribution,
     parse_network,
+    saturated_vector,
     serialize_network,
 )
 
-from helpers import min_cuts_by_subsets  # noqa: E402
+from helpers import min_cuts_by_subsets, reachable_from_source  # noqa: E402
 
 
 @st.composite
@@ -69,6 +72,19 @@ def test_lifting_arcs_are_the_bumps_that_raise_the_oracle_flow(net, data):
         > fs.value
     }
     assert lifting_arcs(fs) == raising
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(networks(max_arcs=6, max_cap=2))
+def test_solver_equals_oracle_at_every_level(net):
+    assume(net.sink in reachable_from_source(net))
+    cuts = enumerate_min_cuts(net)
+    levels = dmc_levels(net)
+    top = max_flow_value(net, saturated_vector(net))
+    for d in range(top + 2):
+        report = find_all_dmcs(net, d, cuts)
+        assert report.dmcs == levels.get(d, ()), d
+        assert report.infeasible_demand == (d > top)
 
 
 @st.composite
