@@ -9,8 +9,9 @@ traversed in ascending arc-id order, so identical inputs always produce the
 identical flow, not merely the same value.
 
 Residual bookkeeping is per arc (slot pair), which makes anti-parallel
-arcs work without node-splitting tricks.  Every graph search in the
-package is :func:`residual_levels` over such a slot list.
+arcs work without node-splitting tricks, and a :class:`FlowState` keeps
+that per-slot residual as the only record of its flow.  Every graph search
+in the package is :func:`residual_levels` over such a slot list.
 """
 
 from __future__ import annotations
@@ -26,16 +27,16 @@ __all__ = ["FlowState", "max_flow", "residual_levels", "residual_reachable", "li
 
 @dataclass(frozen=True)
 class FlowState:
-    """A feasible integer flow under a specific capacity state.
+    """A feasible integer flow under a specific capacity state, kept as its residual.
 
-    ``flows[i]`` is the flow on arc i+1, ``value`` the net outflow of the
-    source.  Conservation and capacity feasibility hold by construction for
-    states produced by :func:`max_flow`.
+    ``residual[2i]`` is the room left on arc i+1 and ``residual[2i+1]`` its
+    flow, so the two sum to the arc's capacity; ``value`` is the net outflow
+    of the source.  Conservation and capacity feasibility hold by
+    construction for states produced by :func:`max_flow`.
     """
 
     net: Network
-    capacities: StateVector
-    flows: tuple[int, ...]
+    residual: tuple[int, ...]
     value: int
 
 
@@ -93,18 +94,13 @@ def max_flow(net: Network, state: StateVector) -> FlowState:
             residual[slot ^ 1] += sent
         total += sent
 
-    return FlowState(net=net, capacities=state, flows=tuple(residual[1::2]), value=total)
+    return FlowState(net=net, residual=tuple(residual), value=total)
 
 
 def zero_flow(net: Network, state: StateVector) -> FlowState:
     """The all-zero flow under ``state`` (value 0)."""
     net.validate_state(state)
-    return FlowState(net=net, capacities=state, flows=(0,) * net.arc_count, value=0)
-
-
-def _residual(fs: FlowState) -> list[int]:
-    """Per-slot residual capacities of ``fs``: room below capacity forward, flow backward."""
-    return [r for x, f in zip(fs.capacities, fs.flows) for r in (x - f, f)]
+    return FlowState(net=net, residual=tuple(r for x in state for r in (x, 0)), value=0)
 
 
 def residual_reachable(fs: FlowState) -> bool:
@@ -114,7 +110,7 @@ def residual_reachable(fs: FlowState) -> bool:
     where flow is positive.  For a maximal flow this is always False.
     """
     net = fs.net
-    return residual_levels(net, _residual(fs), net.source)[net.sink] >= 0
+    return residual_levels(net, fs.residual, net.source)[net.sink] >= 0
 
 
 def lifting_arcs(fs: FlowState) -> set[int]:
@@ -125,8 +121,7 @@ def lifting_arcs(fs: FlowState) -> set[int]:
     the source reaches u and v reaches the sink in the residual graph: one
     forward and one backward search classify every arc at once.
     """
-    net = fs.net
-    residual = _residual(fs)
+    net, residual = fs.net, fs.residual
     from_source = residual_levels(net, residual, net.source)
     to_sink = residual_levels(net, residual, net.sink, backward=1)
     return {a.index for a in net.arcs if from_source[a.tail] >= 0 and to_sink[a.head] >= 0}

@@ -35,6 +35,32 @@ def reachable_from_source(net: Network, removed=frozenset(), positive_caps=None)
     return seen
 
 
+def assert_feasible(fs, state) -> None:
+    """``fs`` is a feasible flow of value ``fs.value`` under the capacity state ``state``.
+
+    Reads only ``fs.residual``: every slot is nonnegative, each arc's room
+    and flow sum to its capacity in ``state``, and the flows (odd slots)
+    are conserved at every node but the source and sink.
+    """
+    net = fs.net
+    residual = fs.residual
+    assert len(residual) == 2 * len(state) == 2 * net.arc_count
+    assert all(r >= 0 for r in residual), residual
+    for i, x in enumerate(state):
+        assert residual[2 * i] + residual[2 * i + 1] == x, f"arc {i + 1} does not sum to {x}"
+    balance = [0] * (net.node_count + 1)
+    for arc, f in zip(net.arcs, residual[1::2]):
+        balance[arc.tail] -= f
+        balance[arc.head] += f
+    for node in range(1, net.node_count + 1):
+        if node == net.source:
+            assert balance[node] == -fs.value
+        elif node == net.sink:
+            assert balance[node] == fs.value
+        else:
+            assert balance[node] == 0
+
+
 def cut_capacity_minimum(net: Network, state) -> int:
     """Min over all source/sink partitions of the forward capacity across the cut.
 

@@ -130,7 +130,10 @@ def test_acceptance_3_residual_route_equals_direct_inequality(sweep):
                     lifting = lifting_arcs(fs)
                     for arc_id in sorted(unsaturated_set(net, cand)):
                         bumped = bump(net, cand, arc_id)
-                        via_residual = residual_reachable(replace(fs, capacities=bumped))
+                        # The same flow under the bumped state: one more unit of room on the arc.
+                        residual = list(fs.residual)
+                        residual[2 * arc_id - 2] += 1
+                        via_residual = residual_reachable(replace(fs, residual=tuple(residual)))
                         via_inequality = record.table[bumped] > demand
                         if via_residual is via_inequality:
                             agreements += 1

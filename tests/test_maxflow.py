@@ -21,24 +21,14 @@ from dmincut import (
 )
 from dmincut.network import parse_network
 
-from helpers import box, cut_capacity_minimum, grid_network, random_network, random_state
-
-
-def assert_feasible(fs):
-    net = fs.net
-    for arc, x, f in zip(net.arcs, fs.capacities, fs.flows):
-        assert 0 <= f <= x, f"arc {arc.index} flow {f} outside [0, {x}]"
-    balance = [0] * (net.node_count + 1)
-    for arc, f in zip(net.arcs, fs.flows):
-        balance[arc.tail] -= f
-        balance[arc.head] += f
-    for node in range(1, net.node_count + 1):
-        if node == net.source:
-            assert balance[node] == -fs.value
-        elif node == net.sink:
-            assert balance[node] == fs.value
-        else:
-            assert balance[node] == 0
+from helpers import (
+    assert_feasible,
+    box,
+    cut_capacity_minimum,
+    grid_network,
+    random_network,
+    random_state,
+)
 
 
 def test_fig1_flow_values(fig1):
@@ -52,7 +42,7 @@ def test_fig1_flow_values(fig1):
 
 def test_flow_state_feasible_fig1(fig1):
     for state in [(4, 2, 3, 1, 3, 3), (0, 2, 3, 1, 3, 3), (2, 1, 0, 1, 3, 2)]:
-        assert_feasible(max_flow(fig1, state))
+        assert_feasible(max_flow(fig1, state), state)
 
 
 def test_value_matches_cut_oracle_on_random_networks():
@@ -62,7 +52,7 @@ def test_value_matches_cut_oracle_on_random_networks():
         for _ in range(10):
             state = random_state(rng, net)
             fs = max_flow(net, state)
-            assert_feasible(fs)
+            assert_feasible(fs, state)
             assert fs.value == cut_capacity_minimum(net, state)
 
 
@@ -73,7 +63,7 @@ def test_value_matches_cut_oracle_on_grids(rows, cols):
     for _ in range(40):
         state = random_state(rng, net)
         fs = max_flow(net, state)
-        assert_feasible(fs)
+        assert_feasible(fs, state)
         assert fs.value == cut_capacity_minimum(net, state)
 
 
@@ -113,15 +103,20 @@ def test_residual_reachable_below_maximum(fig1):
     assert sum(saturated[a - 1] for a in cut) == full
     for d in range(full):
         state = next(enumerate_candidates(fig1, cut, d))
-        fs = replace(max_flow(fig1, state), capacities=saturated)
+        fs = max_flow(fig1, state)
+        flows = fs.residual[1::2]
+        fs = replace(fs, residual=tuple(r for x, f in zip(saturated, flows) for r in (x - f, f)))
         assert fs.value == d
-        assert_feasible(fs)
+        assert_feasible(fs, saturated)
         assert residual_reachable(fs)
 
 
 def test_residual_reachable_single_arc_zero_flow():
     net = parse_network("nodes 2 source 1 sink 2\nedge 1 1 2 1\n")
-    assert residual_reachable(zero_flow(net, (1,)))
+    fs = zero_flow(net, (1,))
+    assert fs.residual == (1, 0)
+    assert_feasible(fs, (1,))
+    assert residual_reachable(fs)
 
 
 def test_unit_bump_raises_flow_by_at_most_one():
@@ -187,10 +182,10 @@ def test_flow_cancelling_path():
     net = parse_network(FLOW_CANCELLING)
     fs = max_flow(net, saturated_vector(net))
     assert fs.value == 3
-    assert fs.flows == (1, 2, 0, 1, 2, 2, 1)  # the only maximum flow
+    assert fs.residual[1::2] == (1, 2, 0, 1, 2, 2, 1)  # the only maximum flow
     for state in box(net):
         fs = max_flow(net, state)
-        assert_feasible(fs)
+        assert_feasible(fs, state)
         assert fs.value == max_flow_value(net, state), state
     assert_lifting_matches_definition(net)
 

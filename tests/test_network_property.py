@@ -24,7 +24,7 @@ from dmincut import (  # noqa: E402
     serialize_network,
 )
 
-from helpers import min_cuts_by_subsets, reachable_from_source  # noqa: E402
+from helpers import assert_feasible, min_cuts_by_subsets, reachable_from_source  # noqa: E402
 
 
 @st.composite
@@ -61,6 +61,7 @@ def test_enumeration_equals_arc_subset_filter(net):
 def test_lifting_arcs_are_the_bumps_that_raise_the_oracle_flow(net, data):
     state = data.draw(st.tuples(*(st.integers(0, w) for w in net.max_capacities)))
     fs = max_flow(net, state)
+    assert_feasible(fs, state)
     assert fs.value == max_flow_value(net, state)
     # One unit of headroom on every arc, so arcs at their maximum can be bumped too;
     # the max flow of a state does not depend on the maxima.
