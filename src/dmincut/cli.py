@@ -22,14 +22,8 @@ from pathlib import Path
 from .candidates import enumerate_candidates
 from .cuts import enumerate_min_cuts, format_cuts, parse_cuts
 from .errors import DmincutError, StateSpaceLimitError
-from .maxflow import max_flow
-from .network import (
-    bump,
-    format_vector,
-    parse_edge_distribution,
-    parse_network,
-    unsaturated_set,
-)
+from .maxflow import lifting_arcs, max_flow
+from .network import format_vector, parse_edge_distribution, parse_network, unsaturated_set
 from .oracle import brute_force_dmcs, reliability_exhaustive, reliability_from_dmcs
 from .solver import audit_complexity, find_all_dmcs, infeasibility
 from .verify import verify, verify_flawed
@@ -144,8 +138,10 @@ def cmd_check_flaw(args) -> int:
         if sound.is_dmc == flawed.is_dmc:
             continue
         disagreements += 1
-        bumps = " ".join(
-            f"e{arc_id}:W={max_flow(net, bump(net, vector, arc_id)).value}"
+        # A unit raises a max flow by at most one, and exactly on the lifting arcs.
+        lifted = lifting_arcs(max_flow(net, vector))
+        evidence = " ".join(
+            f"e{arc_id}:W={sound.flow_value + (arc_id in lifted)}"
             for arc_id in sorted(unsaturated_set(net, vector))
         )
         verdicts = (
@@ -153,7 +149,7 @@ def cmd_check_flaw(args) -> int:
             f" flawed={'accept' if flawed.is_dmc else 'reject'}"
         )
         line = f"X={format_vector(vector)} {verdicts} W(X)={sound.flow_value}"
-        print(f"{line} {bumps}" if bumps else line)
+        print(f"{line} {evidence}" if evidence else line)
     print(f"disagreements: {disagreements}")
     diagnostic = infeasibility(net, args.demand)
     if diagnostic:

@@ -190,7 +190,6 @@ def reliability_from_dmcs(
         net.validate_state(v)
     pmfs = dist.pmfs
     m = net.arc_count
-    interval: dict[tuple[int, int, int], float] = {}  # (arc, lo, hi) -> Pr[lo <= X <= hi]
     work = 0
 
     def maximal(vectors: list[StateVector]) -> list[StateVector]:
@@ -214,11 +213,8 @@ def reliability_from_dmcs(
         lo, uppers = stack.pop()
         v = uppers[0]
         mass = 1.0
-        for i, (a, b) in enumerate(zip(lo, v)):
-            p = interval.get((i, a, b))
-            if p is None:
-                p = interval[i, a, b] = fsum(pmfs[i][a : b + 1])
-            mass *= p
+        for pmf, a, b in zip(pmfs, lo, v):
+            mass *= fsum(pmf[a : b + 1])
         terms.append(mass)
         for i, vi in enumerate(v):
             slab = [tuple(map(min, u[:i], v)) + u[i:] for u in uppers if u[i] > vi]

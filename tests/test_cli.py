@@ -1,11 +1,15 @@
+import itertools
 import json
+import random
 import subprocess
 import sys
+from pathlib import Path
 
-from dmincut import SolveReport, oracle
+from dmincut import SolveReport, bump, oracle, parse_network, serialize_network, unsaturated_set
 from dmincut.cli import main
 
 from conftest import FIXTURES
+from helpers import grid_network
 
 FIG1 = str(FIXTURES / "fig1.net")
 FIG1_PROB = str(FIXTURES / "fig1_prob.net")
@@ -128,6 +132,31 @@ def test_check_flaw_reports_the_counterexample(capsys):
     assert "W=6" in target[0]
     assert lines[-1].startswith("disagreements: ")
     assert int(lines[-1].split()[-1]) >= 1
+
+
+def test_check_flaw_bump_values_match_the_oracle(capsys, tmp_path):
+    # Every printed W(X) and W(X + one unit on a), against the oracle's own max flow.
+    rng = random.Random("grid-3x3")
+    grid = tmp_path / "grid.net"
+    grid.write_text(serialize_network(grid_network(3, 3, (rng.randint(1, 3) for _ in itertools.count()))))
+    checked = {FIG1: 0, str(grid): 0}
+    for path, demands in ((FIG1, range(9)), (str(grid), range(4))):
+        net = parse_network(Path(path).read_text())
+        for demand in demands:
+            code, out, _ = run(capsys, "check-flaw", path, "--demand", str(demand))
+            assert code == 0
+            for line in out.splitlines()[:-1]:
+                x_field, _, _, w_field, *evidence = line.split()
+                vector = tuple(int(x) for x in x_field[len("X=(") : -1].split(","))
+                assert w_field == f"W(X)={oracle.max_flow_value(net, vector)}"
+                arcs = [int(item[1 : item.index(":")]) for item in evidence]
+                assert arcs == sorted(unsaturated_set(net, vector))
+                for arc_id, item in zip(arcs, evidence):
+                    bumped = oracle.max_flow_value(net, bump(net, vector, arc_id))
+                    assert item == f"e{arc_id}:W={bumped}"
+                checked[path] += len(arcs)
+    assert checked[FIG1] >= 424
+    assert checked[str(grid)] >= 10_000
 
 
 def test_check_flaw_single_arc_has_no_disagreements(capsys, tmp_path):
