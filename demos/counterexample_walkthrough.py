@@ -60,7 +60,7 @@ def main():
               f"{max_flow(net, bumped).value}  (not > {demand})")
 
     sound = verify(net, target, demand)
-    flawed = verify_flawed(net, target, demand)
+    flawed = verify_flawed(max_flow(net, target))
     print("\nverdicts:")
     print(f"  sound test : {'accept' if sound.is_dmc else 'reject'} "
           f"(W(X)={sound.flow_value})")

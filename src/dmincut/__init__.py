@@ -38,7 +38,7 @@ from .oracle import (
     state_space_size,
 )
 from .solver import OperationCounters, SolveReport, audit_complexity, find_all_dmcs
-from .verify import Verdict, verify, verify_flawed
+from .verify import Verdict, classify, verify, verify_flawed
 
 __version__ = "0.1.0"
 
@@ -59,6 +59,7 @@ __all__ = [
     "audit_complexity",
     "brute_force_dmcs",
     "bump",
+    "classify",
     "count_candidates",
     "count_compositions",
     "dmc_levels",

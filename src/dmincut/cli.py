@@ -26,7 +26,7 @@ from .maxflow import lifting_arcs, max_flow
 from .network import format_vector, parse_edge_distribution, parse_network, unsaturated_set
 from .oracle import brute_force_dmcs, reliability_exhaustive, reliability_from_dmcs
 from .solver import audit_complexity, find_all_dmcs, infeasibility
-from .verify import verify, verify_flawed
+from .verify import classify, verify_flawed
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -133,13 +133,15 @@ def cmd_check_flaw(args) -> int:
     )
     disagreements = 0
     for vector in candidates:
-        sound = verify(net, vector, args.demand)
-        flawed = verify_flawed(net, vector, args.demand)
+        # One max flow per candidate feeds both verdicts and the evidence.
+        fs = max_flow(net, vector)
+        sound = classify(fs, args.demand)
+        flawed = verify_flawed(fs)
         if sound.is_dmc == flawed.is_dmc:
             continue
         disagreements += 1
         # A unit raises a max flow by at most one, and exactly on the lifting arcs.
-        lifted = lifting_arcs(max_flow(net, vector))
+        lifted = lifting_arcs(fs)
         evidence = " ".join(
             f"e{arc_id}:W={sound.flow_value + (arc_id in lifted)}"
             for arc_id in sorted(unsaturated_set(net, vector))

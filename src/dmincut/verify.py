@@ -1,25 +1,32 @@
 """Candidate verification.
 
 A state vector X is a d-MC exactly when W(X) = d and raising any
-unsaturated arc by one unit pushes the max flow above d.  ``verify``
-implements the sound residual-path form of that test: after a max flow of
-value d is in place, an extra unit on arc (u, v) opens an augmenting path
-exactly when the source reaches u and v reaches the sink in the residual
-graph, so one forward and one backward search classify every unsaturated
-arc at once instead of a fresh max-flow computation per arc.
+unsaturated arc by one unit pushes the max flow above d.  ``classify``
+implements the sound residual-path form of that test on a maximum flow
+already in hand: with a max flow of value d in place, an extra unit on arc
+(u, v) opens an augmenting path exactly when the source reaches u and v
+reaches the sink in the residual graph, so one forward and one backward
+search classify every unsaturated arc at once instead of a fresh max-flow
+computation per arc.  It reads the capacity state off the flow, and it is
+the only code that turns failing arcs into a :class:`Verdict`.
+``verify`` is ``classify`` on ``max_flow(net, X)``.
 
 ``verify_flawed`` implements a historically published acceptance test that
 drops the W(X) = d hypothesis and takes plain source-sink reachability in
 the bumped capacity graph as its evidence.  It is kept as a diagnostic
 because it wrongly accepts candidates whose max flow is below the demand;
-``dmincut check-flaw`` surfaces the disagreements.
+``dmincut check-flaw`` surfaces the disagreements.  It is ``classify`` at
+demand 0 on the zero flow whenever that flow is maximal, so one max flow
+of X feeds both tests, and check-flaw takes its evidence from that same
+flow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import add
 
-from .maxflow import lifting_arcs, max_flow, residual_reachable, zero_flow
+from .maxflow import FlowState, lifting_arcs, max_flow, residual_reachable, zero_flow
 from .network import Network, StateVector, unsaturated_set
 
 
@@ -28,8 +35,9 @@ class Verdict:
     """Outcome of a candidate test.
 
     ``failing_arc`` is the lowest-indexed unsaturated arc whose unit bump
-    failed the test, or None; for ``verify`` a rejection with
-    ``flow_value != demand`` happened before any arc was examined.
+    failed the test, or None; a sound rejection with ``flow_value !=
+    demand`` happened before any arc was examined.  Both tests build their
+    verdict with :func:`classify`; ``flow_value`` is W(X) for both.
     """
 
     is_dmc: bool
@@ -37,33 +45,40 @@ class Verdict:
     failing_arc: int | None
 
 
-def verify(net: Network, state: StateVector, demand: int) -> Verdict:
-    """Classify ``state`` as d-MC or not at level ``demand`` (sound test).
+def _capacities(fs: FlowState) -> StateVector:
+    """The capacity state ``fs`` flows under: room plus flow on each arc."""
+    return tuple(map(add, fs.residual[::2], fs.residual[1::2]))
 
-    The reported witness is the lowest-id unsaturated arc whose unit bump
-    does not lift the flow, so it is deterministic.
+
+def classify(fs: FlowState, demand: int) -> Verdict:
+    """Classify the state of the maximum flow ``fs`` as d-MC or not at level ``demand``.
+
+    Sound test.  The reported witness is the lowest-id unsaturated arc
+    whose unit bump does not lift the flow, so it is deterministic.
     """
-    fs = max_flow(net, state)
     if fs.value != demand:
         return Verdict(is_dmc=False, flow_value=fs.value, failing_arc=None)
-    failing = unsaturated_set(net, state) - lifting_arcs(fs)
+    failing = unsaturated_set(fs.net, _capacities(fs)) - lifting_arcs(fs)
     return Verdict(is_dmc=not failing, flow_value=fs.value, failing_arc=min(failing, default=None))
 
 
-def verify_flawed(net: Network, state: StateVector, demand: int) -> Verdict:
-    """The unsound published test, reproduced for diagnostics.
+def verify(net: Network, state: StateVector, demand: int) -> Verdict:
+    """Classify ``state`` as d-MC or not at level ``demand`` (sound test)."""
+    return classify(max_flow(net, state), demand)
+
+
+def verify_flawed(fs: FlowState) -> Verdict:
+    """The unsound published test on the state of the maximum flow ``fs``, for diagnostics.
 
     Accepts whenever every unsaturated arc's bumped capacity graph has any
-    source-sink path of positive capacities; never consults the demand, so
-    candidates with W(state) != demand can be (wrongly) accepted.  One pass
-    decides every bump: if ``state`` itself has such a path, every bump
-    keeps it; if not, the zero flow is a maximum flow, so the bumps that
-    open a path are exactly its :func:`lifting_arcs`.  The flow value is
-    still computed for reporting.
+    source-sink path of positive capacities; never consults a demand, so
+    candidates with W(state) below the demand can be (wrongly) accepted.
+    One pass decides every bump: if the state itself has such a path, every
+    bump keeps it; if not, the zero flow is a maximum flow of value 0, and
+    the test is :func:`classify` on it at demand 0.  The flow value
+    reported is ``fs.value``.
     """
-    fs = max_flow(net, state)
-    plain = zero_flow(net, state)
+    plain = zero_flow(fs.net, _capacities(fs))
     if residual_reachable(plain):
         return Verdict(is_dmc=True, flow_value=fs.value, failing_arc=None)
-    failing = unsaturated_set(net, state) - lifting_arcs(plain)
-    return Verdict(is_dmc=not failing, flow_value=fs.value, failing_arc=min(failing, default=None))
+    return replace(classify(plain, 0), flow_value=fs.value)

@@ -83,7 +83,7 @@ def test_acceptance_1_counterexample_reproduction(fig1):
     bumped_value = max_flow(fig1, (1, 2, 3, 1, 3, 3)).value
     assert bumped_value == 6
     assert verify(fig1, candidate, 7).is_dmc is False
-    assert verify_flawed(fig1, candidate, 7).is_dmc is True
+    assert verify_flawed(max_flow(fig1, candidate)).is_dmc is True
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     print(

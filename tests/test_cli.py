@@ -1,15 +1,28 @@
+import importlib
 import itertools
 import json
+import pkgutil
 import random
 import subprocess
 import sys
 from pathlib import Path
 
-from dmincut import SolveReport, bump, oracle, parse_network, serialize_network, unsaturated_set
+import dmincut
+from dmincut import (
+    SolveReport,
+    bump,
+    enumerate_candidates,
+    enumerate_min_cuts,
+    maxflow,
+    oracle,
+    parse_network,
+    serialize_network,
+    unsaturated_set,
+)
 from dmincut.cli import main
 
 from conftest import FIXTURES
-from helpers import grid_network
+from helpers import grid_network, reachable_from_source
 
 FIG1 = str(FIXTURES / "fig1.net")
 FIG1_PROB = str(FIXTURES / "fig1_prob.net")
@@ -20,6 +33,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def distinct_candidates(net, cuts, demand):
+    return sorted({v for cut in cuts for v in enumerate_candidates(net, cut, demand)})
 
 
 def path_network(tmp_path, nodes, capacity=1):
@@ -135,19 +152,36 @@ def test_check_flaw_reports_the_counterexample(capsys):
 
 
 def test_check_flaw_bump_values_match_the_oracle(capsys, tmp_path):
-    # Every printed W(X) and W(X + one unit on a), against the oracle's own max flow.
+    # The listed X are exactly the candidates on which the d-MC definition (by the
+    # oracle's own max flow) and the published test read literally (a positive-capacity
+    # source-sink path after each bump) disagree, and every printed W(X) and
+    # W(X + one unit on a) is the oracle's max flow.
     rng = random.Random("grid-3x3")
     grid = tmp_path / "grid.net"
     grid.write_text(serialize_network(grid_network(3, 3, (rng.randint(1, 3) for _ in itertools.count()))))
     checked = {FIG1: 0, str(grid): 0}
     for path, demands in ((FIG1, range(9)), (str(grid), range(4))):
         net = parse_network(Path(path).read_text())
+        cuts = enumerate_min_cuts(net)
         for demand in demands:
             code, out, _ = run(capsys, "check-flaw", path, "--demand", str(demand))
             assert code == 0
+            disagreeing = []
+            for vector in distinct_candidates(net, cuts, demand):
+                bumped = [bump(net, vector, arc_id) for arc_id in unsaturated_set(net, vector)]
+                is_dmc = oracle.max_flow_value(net, vector) == demand and all(
+                    oracle.max_flow_value(net, state) > demand for state in bumped
+                )
+                flawed = all(
+                    net.sink in reachable_from_source(net, positive_caps=state) for state in bumped
+                )
+                if is_dmc != flawed:
+                    disagreeing.append(vector)
+            listed = []
             for line in out.splitlines()[:-1]:
                 x_field, _, _, w_field, *evidence = line.split()
                 vector = tuple(int(x) for x in x_field[len("X=(") : -1].split(","))
+                listed.append(vector)
                 assert w_field == f"W(X)={oracle.max_flow_value(net, vector)}"
                 arcs = [int(item[1 : item.index(":")]) for item in evidence]
                 assert arcs == sorted(unsaturated_set(net, vector))
@@ -155,8 +189,32 @@ def test_check_flaw_bump_values_match_the_oracle(capsys, tmp_path):
                     bumped = oracle.max_flow_value(net, bump(net, vector, arc_id))
                     assert item == f"e{arc_id}:W={bumped}"
                 checked[path] += len(arcs)
+            assert listed == disagreeing
     assert checked[FIG1] >= 424
     assert checked[str(grid)] >= 10_000
+
+
+def test_check_flaw_runs_one_max_flow_per_candidate(capsys, monkeypatch):
+    # Both verdicts and the evidence come from one max flow of each distinct candidate;
+    # the one more is infeasibility's max flow of the saturated state.
+    real = maxflow.max_flow
+    calls = []
+
+    def counting(net, state):
+        calls.append(state)
+        return real(net, state)
+
+    names = ["dmincut"] + [f"dmincut.{info.name}" for info in pkgutil.iter_modules(dmincut.__path__)]
+    for module in map(importlib.import_module, names):
+        if getattr(module, "max_flow", None) is real:
+            monkeypatch.setattr(module, "max_flow", counting)
+    net = parse_network(Path(FIG1).read_text())
+    cuts = enumerate_min_cuts(net)
+    for demand in (2, 7):
+        calls.clear()
+        code, _, _ = run(capsys, "check-flaw", FIG1, "--demand", str(demand))
+        assert code == 0
+        assert len(calls) == len(distinct_candidates(net, cuts, demand)) + 1
 
 
 def test_check_flaw_single_arc_has_no_disagreements(capsys, tmp_path):

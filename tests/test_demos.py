@@ -1,4 +1,4 @@
-"""Every demo script runs to completion against the current package."""
+"""Every demo script and README's library example run to completion against the current package."""
 
 import os
 import subprocess
@@ -11,13 +11,28 @@ from conftest import REPO_ROOT
 DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))
 
 
+def run_python(*args):
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=REPO_ROOT, timeout=60
+    )
+
+
 def test_demos_are_found():
     assert DEMOS
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_exits_0(demo):
-    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    result = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=60)
+    result = run_python(str(demo))
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_library_example_runs():
+    readme = (REPO_ROOT / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-2:] == ["False", "True"]
