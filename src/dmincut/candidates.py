@@ -19,26 +19,36 @@ from .network import Network, StateVector
 
 
 def compositions(caps: Sequence[int], total: int) -> Iterator[tuple[int, ...]]:
-    """Yield all vectors 0 <= x_i <= caps[i] with sum(x) == total, lexicographically."""
+    """Yield all vectors 0 <= x_i <= caps[i] with sum(x) == total, lexicographically.
+
+    The walk is one loop in O(k) memory, so a cut of any width is fine.
+    After each vector it raises the rightmost position that has room and
+    can take one unit from the positions after it, then refills those with
+    the smallest values that still reach the total: each takes only what
+    the positions after it cannot hold.  The first vector is such a fill.
+    """
     k = len(caps)
     suffix = [0] * (k + 1)
     for i in range(k - 1, -1, -1):
         suffix[i] = suffix[i + 1] + caps[i]
+    if not 0 <= total <= suffix[0]:
+        return
     out = [0] * k
-
-    def recurse(pos: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if pos == k:
-            if remaining == 0:
-                yield tuple(out)
+    pos, remaining = 0, total
+    while True:
+        for i in range(pos, k):
+            out[i] = value = max(0, remaining - suffix[i + 1])
+            remaining -= value
+        yield tuple(out)
+        tail = 0
+        for pos in range(k - 1, -1, -1):
+            if tail and out[pos] < caps[pos]:
+                break
+            tail += out[pos]
+        else:
             return
-        low = max(0, remaining - suffix[pos + 1])
-        high = min(caps[pos], remaining)
-        for value in range(low, high + 1):
-            out[pos] = value
-            yield from recurse(pos + 1, remaining - value)
-
-    if 0 <= total <= suffix[0]:
-        yield from recurse(0, total)
+        out[pos] += 1
+        pos, remaining = pos + 1, tail - 1
 
 
 def count_compositions(caps: Sequence[int], total: int) -> int:

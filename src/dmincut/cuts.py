@@ -2,8 +2,12 @@
 
 A minimal cut (MC) is an inclusion-minimal set of arcs whose removal
 disconnects the source from the sink.  Cuts are structural: capacities play
-no role here.  One test decides minimality of a given arc set: two searches
-over the network with the cut's arcs closed (:func:`is_min_cut`).
+no role here.  A minimal cut is the set of arcs at 0 in a 0-MC of the
+unit-capacity network, so minimality is the d-MC question at d = 0: close
+the cut's arcs, open every other arc to one unit, and the set is a minimal
+cut iff the arcs whose unit bump opens a source-sink path
+(:func:`~dmincut.maxflow.lifting_arcs` of the zero flow) are exactly the
+cut's arcs (:func:`is_min_cut`).
 
 Enumeration is output-sensitive: a backtracking search over source sides S
 (after Provan & Shier 1996) builds only the sets whose out-arcs are minimal
@@ -19,7 +23,7 @@ Cut files are one cut per line: ``cut <id> <arc_id> <arc_id> ...``.
 from __future__ import annotations
 
 from .errors import NetworkParseError, StateSpaceLimitError, ValidationError
-from .maxflow import residual_levels
+from .maxflow import FlowState, lifting_arcs, residual_levels, residual_reachable
 from .network import Network, _parse_int, _tokenize
 
 MinCut = tuple[int, ...]
@@ -33,35 +37,28 @@ CUT_SEARCH_GUARD = 10**8
 _IN, _OUT = 1, 2
 
 
-def _is_min_cut(net: Network, cut) -> bool:
-    """True iff the arcs in ``cut`` disconnect source from sink and no proper subset does.
-
-    Close the cut's arcs and search once forward from the source and once
-    backward from the sink.  The cut is minimal iff the sink is not reached
-    and every cut arc (u, v) has u reached from the source and v reaching
-    the sink: a path that survives dropping arc a from the cut must use a,
-    and its parts before and after a avoid the cut.
-    """
-    open_slots = [1, 0] * net.arc_count
-    for arc_id in cut:
-        open_slots[2 * arc_id - 2] = 0
-    from_source = residual_levels(net, open_slots, net.source)
-    if from_source[net.sink] >= 0:
-        return False
-    to_sink = residual_levels(net, open_slots, net.sink, backward=1)
-    arcs = net.arcs
-    return all(
-        from_source[arcs[a - 1].tail] >= 0 and to_sink[arcs[a - 1].head] >= 0 for a in cut
-    )
+def _unit_zero_flow(net: Network, closed=()) -> FlowState:
+    """The zero flow with one unit of room on every arc not in ``closed``, whatever its capacity."""
+    residual = [1, 0] * net.arc_count
+    for arc_id in closed:
+        residual[2 * arc_id - 2] = 0
+    return FlowState(net=net, residual=tuple(residual), value=0)
 
 
 def is_min_cut(net: Network, arc_ids) -> bool:
-    """True iff ``arc_ids`` disconnects source from sink and no proper subset does."""
+    """True iff ``arc_ids`` disconnects source from sink and no proper subset does.
+
+    The zero flow with the cut's arcs closed and every other arc open is
+    maximal exactly when the cut disconnects, and then its lifting arcs are
+    the cut arcs whose reopening restores a path.  So the set is a minimal
+    cut iff those lifting arcs are the cut itself: an open arc among them
+    means a path survives, and a cut arc missing from them is not needed.
+    """
     cut = frozenset(arc_ids)
     for arc_id in cut:
         if not 1 <= arc_id <= net.arc_count:
             raise ValidationError(f"arc id {arc_id} outside [1, {net.arc_count}]")
-    return _is_min_cut(net, cut)
+    return lifting_arcs(_unit_zero_flow(net, cut)) == cut
 
 
 def enumerate_min_cuts(net: Network) -> list[MinCut]:
@@ -79,7 +76,7 @@ def enumerate_min_cuts(net: Network) -> list[MinCut]:
     the recursion limit.  Searches whose work passes ``CUT_SEARCH_GUARD``
     are refused.
     """
-    if _is_min_cut(net, ()):
+    if not residual_reachable(_unit_zero_flow(net)):
         raise ValidationError("sink is unreachable from source; the network has no minimal cut")
     ends = [(a.tail, a.head) for a in net.arcs]
     step_cost = net.node_count + net.arc_count

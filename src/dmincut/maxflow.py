@@ -114,12 +114,15 @@ def residual_reachable(fs: FlowState) -> bool:
 
 
 def lifting_arcs(fs: FlowState) -> set[int]:
-    """Ids of the arcs whose capacity, raised by one unit, lifts the max flow above ``fs.value``.
+    """Ids of the arcs (u, v) where the source reaches u and v reaches the sink in the residual.
 
-    Requires ``fs`` to be a maximum flow.  Then every new augmenting path
-    crosses the raised arc (u, v), so the unit lifts the flow exactly when
-    the source reaches u and v reaches the sink in the residual graph: one
-    forward and one backward search classify every arc at once.
+    One forward and one backward search classify every arc at once.  When
+    ``fs`` is a maximum flow, every new augmenting path crosses a raised
+    arc, so these are exactly the arcs whose capacity, raised by one unit,
+    lifts the max flow above ``fs.value``.  On the zero flow with a cut's
+    arcs closed and every other arc at one unit, which is maximal when the
+    cut disconnects, they are the cut arcs whose reopening restores a
+    source-sink path; :func:`dmincut.cuts.is_min_cut` decides minimality so.
     """
     net, residual = fs.net, fs.residual
     from_source = residual_levels(net, residual, net.source)

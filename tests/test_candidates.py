@@ -82,9 +82,22 @@ def test_stream_length_equals_count_on_random_profiles():
     for _ in range(150):
         k = rng.randint(1, 5)
         caps = tuple(rng.randint(0, 5) for _ in range(k))
+        by_sum = {}
+        for xs in itertools.product(*(range(c + 1) for c in caps)):  # lexicographic order
+            by_sum.setdefault(sum(xs), []).append(xs)
         for total in range(sum(caps) + 2):
-            streamed = sum(1 for _ in compositions(caps, total))
-            assert count_compositions(caps, total) == count_by_inclusion_exclusion(caps, total) == streamed
+            streamed = list(compositions(caps, total))
+            assert streamed == by_sum.get(total, [])
+            assert count_compositions(caps, total) == count_by_inclusion_exclusion(caps, total) == len(streamed)
+
+
+def test_compositions_walk_a_cut_wider_than_the_recursion_limit():
+    caps = (1,) * 1500
+    ones = [v.index(1) for v in compositions(caps, 1)]
+    assert ones == list(range(1499, -1, -1))
+    zeros = [v.index(0) for v in compositions(caps, 1499)]
+    assert zeros == list(range(1500))
+    assert list(compositions(caps, 1500)) == [caps]
 
 
 def test_count_matches_inclusion_exclusion_on_wide_cuts():

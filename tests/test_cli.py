@@ -309,6 +309,18 @@ def test_commands_without_cut_file_run_on_a_30_node_path(capsys, tmp_path):
     assert out == f"{0.5 ** 29:.12f}\n"
 
 
+def test_commands_run_on_a_cut_of_1000_parallel_arcs(capsys, tmp_path):
+    # One cut of 1,000 arcs: the candidate walk must not recurse once per arc.
+    m = 1000
+    net = tmp_path / "parallel.net"
+    net.write_text("nodes 2 source 1 sink 2\n" + "".join(f"edge {a} 1 2 1\n" for a in range(1, m + 1)))
+    code, out, err = run(capsys, "solve", str(net), "--demand", "1")
+    assert (code, err) == (0, "")
+    dmcs = [line for line in out.splitlines() if line.startswith("(")]
+    assert dmcs == ["(" + ",".join("1" if a == i else "0" for a in range(m)) + ")" for i in reversed(range(m))]
+    assert run(capsys, "check-flaw", str(net), "--demand", "1") == (0, "disagreements: 0\n", "")
+
+
 def test_node_count_above_guard_exits_2(capsys, tmp_path):
     net = tmp_path / "huge.net"
     net.write_text("nodes 1000001 source 1 sink 2\nedge 1 1 2 1\n")

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ from dmincut import (
     Network,
     NetworkParseError,
     ValidationError,
+    brute_force_dmcs,
     enumerate_min_cuts,
     format_cuts,
     is_min_cut,
@@ -64,6 +66,11 @@ def test_enumeration_matches_subset_oracle_on_random_networks():
         expected = min_cuts_by_subsets(net)
         assert cuts == expected
         assert len(set(cuts)) == len(cuts)
+        # A minimal cut is the zero set of a 0-MC of the unit-capacity network.
+        unit = replace(net, arcs=tuple(replace(a, max_capacity=1) for a in net.arcs))
+        zero_sets = [tuple(a for a, x in enumerate(dmc, start=1) if x == 0)
+                     for dmc in brute_force_dmcs(unit, 0)]
+        assert cuts == sorted(zero_sets, key=lambda c: (len(c), c))
         expected = set(expected)
         ids = [a.index for a in net.arcs]
         for r in range(len(ids) + 1):
