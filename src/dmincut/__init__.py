@@ -13,7 +13,7 @@ everything against brute-force oracles.
 from .candidates import count_candidates, count_compositions, enumerate_candidates
 from .cuts import MinCut, enumerate_min_cuts, format_cuts, is_min_cut, parse_cuts
 from .errors import DmincutError, NetworkParseError, StateSpaceLimitError, ValidationError
-from .maxflow import FlowState, lifting_arcs, max_flow, residual_levels
+from .maxflow import FlowState, lifting_arcs, max_flow, residual_tree
 from .maxflow import residual_reachable, zero_flow
 from .network import (
     Arc,
@@ -78,8 +78,8 @@ __all__ = [
     "parse_network",
     "reliability_exhaustive",
     "reliability_from_dmcs",
-    "residual_levels",
     "residual_reachable",
+    "residual_tree",
     "saturated_vector",
     "serialize_network",
     "state_space_size",

@@ -10,12 +10,15 @@ Subcommands:
 
 Exit codes: 0 success (an empty result is not an error), 2 parse or
 validation failure, 3 infeasible demand (above the saturated max flow),
-4 state-space guard exceeded.
+4 state-space guard exceeded, 141 the reader closed standard output
+early (128 + SIGPIPE, as a shell reports a tool killed by SIGPIPE; no
+message is printed, since nothing was refused).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -32,6 +35,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_GUARD = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,11 +216,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # Flush here so a pipe closed before exit is caught below too.
+        sys.stdout.flush()
+        return code
     except StateSpaceLimitError as exc:
         return _fail(str(exc), EXIT_GUARD)
     except DmincutError as exc:
         return _fail(str(exc), EXIT_INPUT)
+    except BrokenPipeError:
+        # The reader stopped early.  Send what is still buffered to devnull
+        # so the interpreter's final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except OSError as exc:
         return _fail(str(exc), EXIT_INPUT)
 

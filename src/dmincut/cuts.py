@@ -23,7 +23,7 @@ Cut files are one cut per line: ``cut <id> <arc_id> <arc_id> ...``.
 from __future__ import annotations
 
 from .errors import NetworkParseError, StateSpaceLimitError, ValidationError
-from .maxflow import FlowState, lifting_arcs, residual_levels, residual_reachable
+from .maxflow import FlowState, lifting_arcs, residual_reachable, residual_tree
 from .network import Network, _parse_int, _tokenize
 
 MinCut = tuple[int, ...]
@@ -84,8 +84,9 @@ def enumerate_min_cuts(net: Network) -> list[MinCut]:
     side = bytearray(net.node_count + 1)
     side[net.source], side[net.sink] = _IN, _OUT
     found: list[MinCut] = []
-    # A frame is (node marks, banned nodes, distances to the sink avoiding S);
-    # the distances are None when S has just grown and must be searched again.
+    # A frame is (node marks, banned nodes, search entries towards the sink
+    # avoiding S); the entries are None when S has just grown and must be
+    # searched again.
     stack = [(side, (), None)]
     while stack:
         side, banned, to_sink = stack.pop()
@@ -98,7 +99,7 @@ def enumerate_min_cuts(net: Network) -> list[MinCut]:
             )
         if to_sink is None:
             open_slots = [r for t, h in ends for r in (0 if _IN in (side[t], side[h]) else 1, 0)]
-            to_sink = residual_levels(net, open_slots, net.sink, backward=1)
+            to_sink = residual_tree(net, open_slots, net.sink, backward=1)
             if any(to_sink[v] < 0 for v in banned):
                 continue
         branch = min((h for t, h in ends if side[t] == _IN and not side[h]), default=0)

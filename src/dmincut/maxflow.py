@@ -4,14 +4,15 @@ The solver needs three primitives: the max-flow value W(X) of a network
 under a capacity state X, the residual graph of a feasible flow, and the
 question "which arcs, raised by one unit, lift the max flow above the d
 units in place".  Max flow augments along shortest residual paths
-(Edmonds-Karp), each found by one :func:`residual_levels` search; slots are
+(Edmonds-Karp): each path is the one a :func:`residual_tree` search
+entered the sink by, walked back through the entry slots.  Slots are
 traversed in ascending arc-id order, so identical inputs always produce the
 identical flow, not merely the same value.
 
 Residual bookkeeping is per arc (slot pair), which makes anti-parallel
 arcs work without node-splitting tricks, and a :class:`FlowState` keeps
 that per-slot residual as the only record of its flow.  Every graph search
-in the package is :func:`residual_levels` over such a slot list.
+in the package is :func:`residual_tree` over such a slot list.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from .network import Network, StateVector
 
-__all__ = ["FlowState", "max_flow", "residual_levels", "residual_reachable", "lifting_arcs",
+__all__ = ["FlowState", "max_flow", "residual_tree", "residual_reachable", "lifting_arcs",
            "zero_flow"]
 
 
@@ -40,54 +41,53 @@ class FlowState:
     value: int
 
 
-def residual_levels(net: Network, residual, start: int, backward: int = 0) -> list[int]:
-    """Breadth-first distances from ``start`` over slots with positive ``residual``.
+def residual_tree(net: Network, residual, start: int, backward: int = 0) -> list[int]:
+    """Breadth-first search from ``start`` over slots with positive ``residual``.
 
+    Returns each node's entry: the slot the search first entered it by, so
+    ``net.slot_heads[entry[v] ^ 1]`` is the node one step nearer ``start``
+    and walking entries back from any reached node takes the shortest way
+    to ``start``.  Each node's slots are scanned in ascending arc order.
     ``backward=1`` reads slot ``s ^ 1`` instead of ``s``, so the search runs
-    against the residual arcs and measures distances *to* ``start``.
-    Unreached nodes get -1; index 0 is unused.
+    against the residual arcs: an entry ``s`` then records that ``s ^ 1``
+    has room and leads from the entered node towards ``start``.  Unreached
+    nodes read -1, ``start`` reads ``len(residual)`` (no slot, but not
+    negative, so ``entry[v] >= 0`` tests reachability), and index 0 is
+    unused.
     """
     adj = net.out_slots
     to = net.slot_heads
-    level = [-1] * (net.node_count + 1)
-    level[start] = 0
+    entry = [-1] * (net.node_count + 1)
+    entry[start] = len(residual)
     queue = deque([start])
     while queue:
         u = queue.popleft()
         for slot in adj[u]:
             v = to[slot]
-            if residual[slot ^ backward] > 0 and level[v] < 0:
-                level[v] = level[u] + 1
+            if residual[slot ^ backward] > 0 and entry[v] < 0:
+                entry[v] = slot
                 queue.append(v)
-    return level
+    return entry
 
 
 def max_flow(net: Network, state: StateVector) -> FlowState:
     """Send as much flow as possible from source to sink under ``state``."""
     net.validate_state(state)
     source, sink = net.source, net.sink
-    adj = net.out_slots
     to = net.slot_heads
     residual = [0] * (2 * net.arc_count)
     residual[::2] = state
 
     total = 0
     while True:
-        level = residual_levels(net, residual, source)
-        if level[sink] < 0:
+        entry = residual_tree(net, residual, source)
+        if entry[sink] < 0:
             break
-        # Walk one shortest path back from the sink.  The search reached each
-        # node through a residual slot from the level below, so one is found.
         path: list[int] = []
         v = sink
         while v != source:
-            below = level[v] - 1
-            for slot in adj[v]:
-                u = to[slot]
-                if level[u] == below and residual[slot ^ 1] > 0:
-                    path.append(slot ^ 1)
-                    v = u
-                    break
+            path.append(entry[v])
+            v = to[entry[v] ^ 1]
         sent = min(residual[slot] for slot in path)
         for slot in path:
             residual[slot] -= sent
@@ -110,7 +110,7 @@ def residual_reachable(fs: FlowState) -> bool:
     where flow is positive.  For a maximal flow this is always False.
     """
     net = fs.net
-    return residual_levels(net, fs.residual, net.source)[net.sink] >= 0
+    return residual_tree(net, fs.residual, net.source)[net.sink] >= 0
 
 
 def lifting_arcs(fs: FlowState) -> set[int]:
@@ -125,6 +125,6 @@ def lifting_arcs(fs: FlowState) -> set[int]:
     source-sink path; :func:`dmincut.cuts.is_min_cut` decides minimality so.
     """
     net, residual = fs.net, fs.residual
-    from_source = residual_levels(net, residual, net.source)
-    to_sink = residual_levels(net, residual, net.sink, backward=1)
+    from_source = residual_tree(net, residual, net.source)
+    to_sink = residual_tree(net, residual, net.sink, backward=1)
     return {a.index for a in net.arcs if from_source[a.tail] >= 0 and to_sink[a.head] >= 0}

@@ -1,11 +1,12 @@
 """End-to-end d-MC enumeration with operation accounting.
 
 For each minimal cut the candidate stream is generated lazily; every
-candidate gets exactly one max-flow computation (no incremental reuse
-between candidates, which is unsound in general) and, when that flow
-meets the demand, one residual classification of its arcs.  Accepted
-vectors are merged into a set because distinct cuts can emit the same
-d-MC.
+candidate gets exactly one max-flow computation, from the zero flow,
+and, when that flow meets the demand, one residual classification of its
+arcs.  Reusing a flow between candidates while capacities only rise would
+be sound, since the old flow stays feasible; it is not done here.
+Accepted vectors are merged into a set because distinct cuts can emit the
+same d-MC.
 
 The counters exist so the operation-count bounds can be audited: the
 number of max-flow calls is bounded by the total closed-form candidate

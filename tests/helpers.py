@@ -35,6 +35,33 @@ def reachable_from_source(net: Network, removed=frozenset(), positive_caps=None)
     return seen
 
 
+def residual_distances(net: Network, residual, start: int, backward=False) -> dict[int, int]:
+    """Breadth-first distances from ``start`` over arcs with positive residual.
+
+    Read from the arc list alone: arc i offers its tail-to-head direction
+    when ``residual[2i-2] > 0`` and head-to-tail when ``residual[2i-1] > 0``.
+    ``backward`` measures distances *to* ``start`` instead.  Reached nodes
+    only.
+    """
+    adj = {v: [] for v in range(1, net.node_count + 1)}
+    for a in net.arcs:
+        for (u, v), room in (((a.tail, a.head), residual[2 * a.index - 2]),
+                             ((a.head, a.tail), residual[2 * a.index - 1])):
+            if room > 0:
+                if backward:
+                    u, v = v, u
+                adj[u].append(v)
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
 def assert_feasible(fs, state) -> None:
     """``fs`` is a feasible flow of value ``fs.value`` under the capacity state ``state``.
 

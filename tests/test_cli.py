@@ -309,11 +309,16 @@ def test_commands_without_cut_file_run_on_a_30_node_path(capsys, tmp_path):
     assert out == f"{0.5 ** 29:.12f}\n"
 
 
+def parallel_network(tmp_path, arcs):
+    net = tmp_path / "parallel.net"
+    net.write_text("nodes 2 source 1 sink 2\n" + "".join(f"edge {a} 1 2 1\n" for a in range(1, arcs + 1)))
+    return net
+
+
 def test_commands_run_on_a_cut_of_1000_parallel_arcs(capsys, tmp_path):
     # One cut of 1,000 arcs: the candidate walk must not recurse once per arc.
     m = 1000
-    net = tmp_path / "parallel.net"
-    net.write_text("nodes 2 source 1 sink 2\n" + "".join(f"edge {a} 1 2 1\n" for a in range(1, m + 1)))
+    net = parallel_network(tmp_path, m)
     code, out, err = run(capsys, "solve", str(net), "--demand", "1")
     assert (code, err) == (0, "")
     dmcs = [line for line in out.splitlines() if line.startswith("(")]
@@ -456,6 +461,19 @@ def test_solve_json_byte_identical_across_processes():
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout  # non-empty
+
+
+def test_closed_output_pipe_exits_141_without_a_message(tmp_path):
+    # 1,200 d-MCs of 1,200 entries each, about 2.4 MB: far more than a pipe buffer.
+    net = parallel_network(tmp_path, 1200)
+    cmd = [sys.executable, "-m", "dmincut.cli", "solve", str(net), "--demand", "1"]
+    stderr = tmp_path / "stderr"
+    with stderr.open("wb") as err_file:
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=err_file)
+        assert proc.stdout.readline().startswith(b"(")
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    assert (code, stderr.read_bytes()) == (141, b"")
 
 
 def test_solve_text_byte_identical_across_processes():

@@ -13,8 +13,8 @@ from dmincut import (
     lifting_arcs,
     max_flow,
     max_flow_value,
-    residual_levels,
     residual_reachable,
+    residual_tree,
     saturated_vector,
     unsaturated_set,
     zero_flow,
@@ -28,6 +28,7 @@ from helpers import (
     grid_network,
     random_network,
     random_state,
+    residual_distances,
 )
 
 
@@ -190,18 +191,37 @@ def test_flow_cancelling_path():
     assert_lifting_matches_definition(net)
 
 
-def test_residual_levels_backward():
+def entry_depths(net, entry):
+    """Steps from each node back to the search's start along its entries; -1 if unreached."""
+    to = net.slot_heads
+    depths = [-1] * len(entry)
+    for v in range(1, len(entry)):
+        u, steps = v, 0
+        while 0 <= entry[u] < len(to) and steps < len(entry):
+            u, steps = to[entry[u] ^ 1], steps + 1
+        if entry[u] == len(to):
+            depths[v] = steps
+    return depths
+
+
+def test_residual_tree_backward():
     net = parse_network("nodes 3 source 1 sink 3\nedge 1 1 2 1\nedge 2 2 3 1\n")
-    # Zero flow: forward residual only.
-    assert residual_levels(net, [1, 0, 1, 0], 1) == [-1, 0, 1, 2]
-    assert residual_levels(net, [1, 0, 1, 0], 3, backward=1) == [-1, 2, 1, 0]
-    assert residual_levels(net, [1, 0, 0, 0], 3, backward=1) == [-1, -1, -1, 0]
-    # One unit on the path: backward residual only.
-    assert residual_levels(net, [0, 1, 0, 1], 3, backward=1) == [-1, -1, -1, 0]
-    assert residual_levels(net, [0, 1, 0, 1], 1, backward=1) == [-1, 0, 1, 2]
+    # Slots: 0 is 1->2, 1 is 2->1, 2 is 2->3, 3 is 3->2; the start reads 4.
+    cases = [
+        # Zero flow: forward residual only.
+        (([1, 0, 1, 0], 1, 0), [-1, 4, 0, 2], [-1, 0, 1, 2]),
+        (([1, 0, 1, 0], 3, 1), [-1, 1, 3, 4], [-1, 2, 1, 0]),
+        (([1, 0, 0, 0], 3, 1), [-1, -1, -1, 4], [-1, -1, -1, 0]),
+        # One unit on the path: backward residual only.
+        (([0, 1, 0, 1], 3, 1), [-1, -1, -1, 4], [-1, -1, -1, 0]),
+        (([0, 1, 0, 1], 1, 1), [-1, 4, 0, 2], [-1, 0, 1, 2]),
+    ]
+    for (residual, start, backward), entry, depths in cases:
+        assert residual_tree(net, residual, start, backward) == entry
+        assert entry_depths(net, entry) == depths
 
 
-def test_residual_levels_backward_is_forward_on_reversed_network():
+def test_residual_tree_backward_is_forward_on_reversed_network():
     rng = random.Random(106)
     for _ in range(200):
         net = random_network(rng)
@@ -211,12 +231,39 @@ def test_residual_levels_backward_is_forward_on_reversed_network():
             source=net.source,
             sink=net.sink,
         )
-        # Reversing every arc reverses every residual slot in place.
+        # Reversing every arc reverses every residual slot in place, so slot
+        # s of one network runs the way slot s ^ 1 of the other does.
         residual = [rng.randint(0, 2) for _ in range(2 * net.arc_count)]
         for start in range(1, net.node_count + 1):
-            assert residual_levels(net, residual, start, backward=1) == residual_levels(
-                reversed_net, residual, start
-            )
+            backward = residual_tree(net, residual, start, backward=1)
+            forward = residual_tree(reversed_net, residual, start)
+            assert backward[start] == forward[start] == len(residual)
+            assert backward == [
+                s if s < 0 or v == start else s ^ 1 for v, s in enumerate(forward)
+            ]
+
+
+def test_residual_tree_entries_are_shortest_paths():
+    # The Edmonds-Karp invariant: max_flow augments along the entries walked
+    # back from the sink, so they must form a shortest residual path.
+    rng = random.Random(107)
+    for _ in range(200):
+        net = random_network(rng)
+        to = net.slot_heads
+        residual = [rng.randint(0, 2) for _ in range(2 * net.arc_count)]
+        for start in range(1, net.node_count + 1):
+            for backward in (0, 1):
+                entry = residual_tree(net, residual, start, backward)
+                dist = residual_distances(net, residual, start, backward)
+                assert {v for v in range(1, net.node_count + 1) if entry[v] >= 0} == set(dist)
+                assert entry[start] == len(residual)
+                for v in set(dist) - {start}:
+                    slot = entry[v]
+                    assert to[slot] == v
+                    assert residual[slot ^ backward] > 0
+                    assert dist[to[slot ^ 1]] == dist[v] - 1
+                depths = entry_depths(net, entry)
+                assert all(depths[v] == d for v, d in dist.items())
 
 
 def test_lifting_arcs_fig1_one_more_unit_cases(fig1):
