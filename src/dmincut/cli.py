@@ -8,6 +8,9 @@ Subcommands:
 * ``mincuts``      list the minimal source-sink cuts in cut-file format
 * ``reliability``  Pr[max flow meets a demand], from d-MCs or exhaustively
 
+Every subcommand takes its network file positionally or via
+``--network FILE``: one of the two, not both.
+
 Exit codes: 0 success (an empty result is not an error), 2 parse or
 validation failure, 3 infeasible demand (above the saturated max flow),
 4 state-space guard exceeded, 141 the reader closed standard output
@@ -38,41 +41,6 @@ EXIT_GUARD = 4
 EXIT_BROKEN_PIPE = 141
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dmincut", description=__doc__.split("\n\n")[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_network(p: argparse.ArgumentParser) -> None:
-        p.add_argument("network_pos", nargs="?", metavar="network", help="network file")
-        p.add_argument("--network", dest="network_flag", metavar="FILE", help="network file")
-
-    p_solve = sub.add_parser("solve", help="enumerate all d-MCs")
-    add_network(p_solve)
-    p_solve.add_argument("--demand", type=int, required=True)
-    p_solve.add_argument("--cuts", metavar="FILE", help="minimal-cut file (default: enumerate)")
-    p_solve.add_argument("--json", action="store_true", help="emit the full report as JSON")
-
-    p_flaw = sub.add_parser("check-flaw", help="diff sound vs flawed verification")
-    add_network(p_flaw)
-    p_flaw.add_argument("--demand", type=int, required=True)
-    p_flaw.add_argument("--cuts", metavar="FILE", help="minimal-cut file (default: enumerate)")
-
-    p_oracle = sub.add_parser("oracle", help="brute-force d-MC enumeration")
-    add_network(p_oracle)
-    p_oracle.add_argument("--demand", type=int, required=True)
-
-    p_cuts = sub.add_parser("mincuts", help="list minimal cuts")
-    add_network(p_cuts)
-
-    p_rel = sub.add_parser("reliability", help="probability the max flow meets the demand")
-    add_network(p_rel)
-    p_rel.add_argument("--demand", type=int, required=True)
-    p_rel.add_argument("--method", choices=("dmcs", "exhaustive"), default="dmcs")
-    p_rel.add_argument("--threshold", choices=("ge", "strict"), default="ge",
-                       help="'ge' scores W >= demand (default), 'strict' scores W > demand")
-    return parser
-
-
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -86,10 +54,7 @@ def _read_text(path: str) -> str:
 
 
 def _load_network(args):
-    path = args.network_flag or args.network_pos
-    if path is None:
-        raise DmincutError("a network file is required (positional or --network)")
-    text = _read_text(path)
+    text = _read_text(args.network_pos if args.network_flag is None else args.network_flag)
     return text, parse_network(text)
 
 
@@ -200,23 +165,52 @@ def cmd_reliability(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "solve": cmd_solve,
-    "check-flaw": cmd_check_flaw,
-    "oracle": cmd_oracle,
-    "mincuts": cmd_mincuts,
-    "reliability": cmd_reliability,
-}
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="dmincut", description="Batch command-line interface.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_command(name: str, run, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        # argparse refuses both or neither with exit 2.
+        network = p.add_mutually_exclusive_group(required=True)
+        network.add_argument("network_pos", nargs="?", metavar="network", help="network file")
+        network.add_argument("--network", dest="network_flag", metavar="FILE", help="network file")
+        p.set_defaults(run=run)
+        return p
+
+    p_solve = add_command("solve", cmd_solve, "enumerate all d-MCs")
+    p_solve.add_argument("--demand", type=int, required=True)
+    p_solve.add_argument("--cuts", metavar="FILE", help="minimal-cut file (default: enumerate)")
+    p_solve.add_argument("--json", action="store_true", help="emit the full report as JSON")
+
+    p_flaw = add_command("check-flaw", cmd_check_flaw, "diff sound vs flawed verification")
+    p_flaw.add_argument("--demand", type=int, required=True)
+    p_flaw.add_argument("--cuts", metavar="FILE", help="minimal-cut file (default: enumerate)")
+
+    p_oracle = add_command("oracle", cmd_oracle, "brute-force d-MC enumeration")
+    p_oracle.add_argument("--demand", type=int, required=True)
+
+    add_command("mincuts", cmd_mincuts, "list minimal cuts")
+
+    p_rel = add_command("reliability", cmd_reliability, "probability the max flow meets the demand")
+    p_rel.add_argument("--demand", type=int, required=True)
+    p_rel.add_argument("--method", choices=("dmcs", "exhaustive"), default="dmcs")
+    p_rel.add_argument("--threshold", choices=("ge", "strict"), default="ge",
+                       help="'ge' scores W >= demand (default), 'strict' scores W > demand")
+    return parser
+
+
+# Built once: main only parses, and parsing leaves the parser unchanged.
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
-        code = _COMMANDS[args.command](args)
+        code = args.run(args)
         # Flush here so a pipe closed before exit is caught below too.
         sys.stdout.flush()
         return code

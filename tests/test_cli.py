@@ -1,6 +1,8 @@
+import argparse
 import importlib
 import itertools
 import json
+import os
 import pkgutil
 import random
 import subprocess
@@ -135,6 +137,45 @@ def test_solve_malformed_file_exits_2(capsys, tmp_path):
 def test_solve_without_network_exits_2(capsys):
     code, _, err = run(capsys, "solve", "--demand", "1")
     assert code == 2
+
+
+def test_network_given_twice_exits_2(capsys, tmp_path):
+    other = path_network(tmp_path, 3)
+    for argv in (
+        ("solve", FIG1, "--network", other, "--demand", "1"),
+        ("solve", "--network", other, FIG1, "--demand", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "not allowed with" in err
+
+
+def test_main_builds_no_parser(capsys, monkeypatch):
+    # The parser is built once at import; an argparse error leaves no state behind.
+    constructed = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    first = run(capsys, "solve", FIG1, "--demand", "7")
+    assert run(capsys, "mincuts", FIG1)[0] == 0
+    assert run(capsys, "solve", "--demand", "1")[0] == 2
+    again = run(capsys, "solve", FIG1, "--demand", "7")
+    assert first == again
+    assert first[0] == 0
+    assert constructed == []
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: dmincut ")
+    for command in ("solve", "check-flaw", "oracle", "mincuts", "reliability"):
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: dmincut {command} ")
 
 
 def test_check_flaw_reports_the_counterexample(capsys):
@@ -474,6 +515,15 @@ def test_closed_output_pipe_exits_141_without_a_message(tmp_path):
         proc.stdout.close()
         code = proc.wait(timeout=120)
     assert (code, stderr.read_bytes()) == (141, b"")
+
+
+def test_solve_runs_with_docstrings_stripped():
+    cmd = [sys.executable, "-m", "dmincut.cli", "solve", FIG1, "--demand", "7"]
+    plain = subprocess.run(cmd, capture_output=True)
+    stripped = subprocess.run(cmd, capture_output=True, env={**os.environ, "PYTHONOPTIMIZE": "2"})
+    assert plain.returncode == stripped.returncode == 0
+    assert stripped.stdout == plain.stdout
+    assert stripped.stderr == b""
 
 
 def test_solve_text_byte_identical_across_processes():

@@ -12,6 +12,7 @@ from dmincut import (
     enumerate_candidates,
     enumerate_min_cuts,
     find_all_dmcs,
+    oracle,
     verify,
 )
 from dmincut.network import parse_network
@@ -93,7 +94,12 @@ def test_counters_account_every_candidate(fig1):
     assert c.candidates_per_cut == [count_candidates(fig1, cut, 7) for cut in cuts]
     assert c.maxflow_calls <= report.total_candidate_bound
     assert report.total_candidate_bound <= report.cut_count * report.max_candidates_per_cut
-    assert c.residual_searches <= report.arc_count * c.candidates_total
+    # One residual search per candidate, duplicates included, whose max flow meets the demand.
+    assert c.residual_searches == sum(
+        oracle.max_flow_value(fig1, cand) == 7
+        for cut in cuts
+        for cand in enumerate_candidates(fig1, cut, 7)
+    )
 
 
 def test_dedup_bookkeeping_explicit_duplicate():
