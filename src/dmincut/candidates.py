@@ -86,14 +86,15 @@ def enumerate_candidates(net: Network, cut: MinCut, demand: int) -> Iterator[Sta
 
     The stream is empty when the demand exceeds the cut's total capacity;
     consuming lazily lets the solver interleave generation and testing.
+    Every on-cut entry is rewritten for each candidate, so one buffer
+    serves the whole stream and each candidate is a fresh tuple of it.
     """
     if demand < 0:
         raise ValidationError(f"demand must be nonnegative, got {demand}")
     positions = [arc_id - 1 for arc_id in cut]
     caps = [net.max_capacities[p] for p in positions]
-    base = list(net.max_capacities)
+    vector = list(net.max_capacities)
     for on_cut in compositions(caps, demand):
-        vector = base.copy()
         for p, value in zip(positions, on_cut):
             vector[p] = value
         yield tuple(vector)

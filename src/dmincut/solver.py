@@ -6,7 +6,10 @@ and, when that flow meets the demand, one residual classification of its
 arcs.  Reusing a flow between candidates while capacities only rise would
 be sound, since the old flow stays feasible; it is not done here.
 Accepted vectors are merged into a set because distinct cuts can emit the
-same d-MC.
+same d-MC.  The infeasibility diagnostic costs one more max flow, of the
+saturated state, and runs only when no d-MC was found: a d-MC X has
+W(X) = d, and the saturated max flow is at least W(X), so any d-MC already
+proves the demand feasible.
 
 The counters exist so the operation-count bounds can be audited: the
 number of max-flow calls is bounded by the total closed-form candidate
@@ -83,6 +86,7 @@ def infeasibility(net: Network, demand: int) -> str | None:
     """Why no d-MC exists at ``demand`` (above the saturated max flow), or None.
 
     This max-flow call is outside the per-candidate accounting, so the audit bounds stay exact.
+    :func:`find_all_dmcs` makes it only when it found no d-MC.
     """
     top = max_flow(net, saturated_vector(net)).value
     if demand > top:
@@ -124,7 +128,7 @@ def find_all_dmcs(net: Network, demand: int, cuts: list[MinCut]) -> SolveReport:
         counters.candidates_per_cut.append(generated)
 
     per_cut_bounds = [count_candidates(net, cut, demand) for cut in cuts]
-    diagnostic = infeasibility(net, demand)
+    diagnostic = None if found else infeasibility(net, demand)
     return SolveReport(
         demand=demand,
         cut_count=len(cuts),

@@ -15,15 +15,15 @@ the only code that turns failing arcs into a :class:`Verdict`.
 drops the W(X) = d hypothesis and takes plain source-sink reachability in
 the bumped capacity graph as its evidence.  It is kept as a diagnostic
 because it wrongly accepts candidates whose max flow is below the demand;
-``dmincut check-flaw`` surfaces the disagreements.  It is ``classify`` at
-demand 0 on the zero flow whenever that flow is maximal, so one max flow
-of X feeds both tests, and check-flaw takes its evidence from that same
-flow.
+``dmincut check-flaw`` surfaces the disagreements.  It accepts when the
+state has a source-sink path; otherwise it is ``classify(fs, 0)`` on the
+maximum flow in hand, so one max flow of X feeds both tests, and
+check-flaw takes its evidence from that same flow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import add
 
 from .maxflow import FlowState, lifting_arcs, max_flow, residual_reachable, zero_flow
@@ -74,11 +74,11 @@ def verify_flawed(fs: FlowState) -> Verdict:
     source-sink path of positive capacities; never consults a demand, so
     candidates with W(state) below the demand can be (wrongly) accepted.
     One pass decides every bump: if the state itself has such a path, every
-    bump keeps it; if not, the zero flow is a maximum flow of value 0, and
-    the test is :func:`classify` on it at demand 0.  The flow value
-    reported is ``fs.value``.
+    bump keeps it; if not, W(state) = 0, and the test is :func:`classify`
+    on ``fs`` at demand 0.  Any maximum flow gives that verdict, because
+    all maximum flows leave the same nodes reachable from the source and
+    the same nodes reaching the sink in the residual.
     """
-    plain = zero_flow(fs.net, _capacities(fs))
-    if residual_reachable(plain):
+    if residual_reachable(zero_flow(fs.net, _capacities(fs))):
         return Verdict(is_dmc=True, flow_value=fs.value, failing_arc=None)
-    return replace(classify(plain, 0), flow_value=fs.value)
+    return classify(fs, 0)

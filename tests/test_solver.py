@@ -85,6 +85,20 @@ def test_partial_cut_list_yields_subset(fig1):
     assert set(partial.dmcs) <= set(full.dmcs)
 
 
+def test_solve_runs_one_max_flow_per_candidate_once_a_dmc_is_found(fig1, max_flow_calls):
+    # A d-MC proves the demand feasible, so the saturated max flow of the
+    # infeasibility diagnostic runs only when none was found.
+    cuts = enumerate_min_cuts(fig1)
+    for demand, cut_list, found in [(d, cuts, True) for d in range(9)] + [
+        (9, cuts, False), (12, cuts, False), (8, [(1, 2, 3)], False),
+    ]:
+        max_flow_calls.clear()
+        report = find_all_dmcs(fig1, demand, cut_list)
+        assert bool(report.dmcs) is found
+        assert len(max_flow_calls) == report.counters.candidates_total + (not found)
+        assert report.infeasible_demand is (demand > 8)
+
+
 def test_counters_account_every_candidate(fig1):
     cuts = enumerate_min_cuts(fig1)
     report = find_all_dmcs(fig1, 7, cuts)

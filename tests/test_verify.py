@@ -3,6 +3,7 @@ import random
 import pytest
 
 from dmincut import (
+    FlowState,
     ValidationError,
     dmc_levels,
     enumerate_candidates,
@@ -16,7 +17,7 @@ from dmincut import (
 )
 from dmincut.network import bump, parse_network
 
-from helpers import box, random_network, reachable_from_source
+from helpers import assert_feasible, box, random_network, random_state, reachable_from_source
 
 
 def test_benchmark_candidate_rejected_by_sound_test(fig1):
@@ -141,6 +142,59 @@ def test_flawed_verdict_matches_literal_definition():
             assert verdict.flow_value == max_flow_value(net, state)
             rejections += bool(failing)
     assert rejections > 1000
+
+
+def positive_cycles(net, state):
+    """Yield every simple directed cycle of arcs with positive capacity in ``state``, as arc ids.
+
+    Each cycle is walked once, from its lowest node.
+    """
+    out = {v: [a for a in net.arcs if a.tail == v and state[a.index - 1] > 0]
+           for v in range(1, net.node_count + 1)}
+
+    def walk(start, node, path, seen):
+        for arc in out[node]:
+            if arc.head == start:
+                yield path + [arc.index]
+            elif arc.head > start and arc.head not in seen:
+                yield from walk(start, arc.head, path + [arc.index], seen | {arc.head})
+
+    for start in out:
+        yield from walk(start, start, [], {start})
+
+
+def test_flawed_verdict_reads_any_maximum_flow():
+    # With W(X) = 0, a circulation round a directed cycle is another maximum
+    # flow of X; the flawed verdict read off it must not change.
+    rng = random.Random(11)
+    circulations = rejections = 0
+    for _ in range(3000):
+        net = random_network(rng, max_arcs=9)
+        state = random_state(rng, net)
+        fs = max_flow(net, state)
+        if fs.value != 0:
+            continue
+        failing = [
+            arc_id
+            for arc_id in sorted(unsaturated_set(net, state))
+            if net.sink not in reachable_from_source(net, positive_caps=bump(net, state, arc_id))
+        ]
+        literal = (not failing, 0, failing[0] if failing else None)
+        expected = verify_flawed(fs)
+        assert (expected.is_dmc, expected.flow_value, expected.failing_arc) == literal
+        for cycle in positive_cycles(net, state):
+            residual = list(fs.residual)
+            for _ in range(min(state[a - 1] for a in cycle)):
+                for a in cycle:
+                    residual[2 * a - 2] -= 1
+                    residual[2 * a - 1] += 1
+                circulating = FlowState(net=net, residual=tuple(residual), value=0)
+                assert_feasible(circulating, state)
+                assert verify_flawed(circulating) == expected
+                circulations += 1
+                rejections += not expected.is_dmc
+    assert circulations > 300
+    assert rejections > 300
 
 
 def test_residual_route_matches_direct_inequality_for_candidates(fig1):
