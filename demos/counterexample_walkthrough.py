@@ -13,7 +13,6 @@ and then asks for a residual augmenting path on top of d pushed units.
 from pathlib import Path
 
 from dmincut import (
-    bump,
     enumerate_candidates,
     enumerate_min_cuts,
     format_vector,
@@ -55,7 +54,7 @@ def main():
     arcs = sorted(unsaturated_set(net, target))
     print(f"unsaturated arcs of X: {['e%d' % a for a in arcs]}")
     for arc_id in arcs:
-        bumped = bump(net, target, arc_id)
+        bumped = target[:arc_id - 1] + (target[arc_id - 1] + 1,) + target[arc_id:]
         print(f"  bump e{arc_id}: max flow of {format_vector(bumped)} = "
               f"{max_flow(net, bumped).value}  (not > {demand})")
 

@@ -20,12 +20,10 @@ from .network import (
     EdgeDistribution,
     Network,
     StateVector,
-    bump,
     format_vector,
     parse_edge_distribution,
     parse_network,
     saturated_vector,
-    serialize_network,
     unsaturated_set,
 )
 from .oracle import (
@@ -58,7 +56,6 @@ __all__ = [
     "Verdict",
     "audit_complexity",
     "brute_force_dmcs",
-    "bump",
     "classify",
     "count_candidates",
     "count_compositions",
@@ -81,7 +78,6 @@ __all__ = [
     "residual_reachable",
     "residual_tree",
     "saturated_vector",
-    "serialize_network",
     "state_space_size",
     "unsaturated_set",
     "verify",

@@ -12,13 +12,17 @@ identical flow, not merely the same value.
 Residual bookkeeping is per arc (slot pair), which makes anti-parallel
 arcs work without node-splitting tricks, and a :class:`FlowState` keeps
 that per-slot residual as the only record of its flow.  Every graph search
-in the package is :func:`residual_tree` over such a slot list.
+in the package is :func:`residual_tree` over such a slot list.  The search
+that ends a max flow, the one that no longer reaches the sink, is the
+forward search of its residual; the :class:`FlowState` keeps it as
+:attr:`FlowState.source_tree`, so classifying a max flow costs one backward
+search more, not two.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .network import Network, StateVector
 
@@ -40,6 +44,16 @@ class FlowState:
     residual: tuple[int, ...]
     value: int
 
+    @cached_property
+    def source_tree(self) -> list[int]:
+        """``residual_tree(net, residual, net.source)``, searched once and then kept.
+
+        :func:`max_flow` stores its last search here.  The cache is not a
+        field: equality and repr ignore it, and ``dataclasses.replace``
+        builds a new state that searches its own residual again.
+        """
+        return residual_tree(self.net, self.residual, self.net.source)
+
 
 def residual_tree(net: Network, residual, start: int, backward: int = 0) -> list[int]:
     """Breadth-first search from ``start`` over slots with positive ``residual``.
@@ -47,7 +61,9 @@ def residual_tree(net: Network, residual, start: int, backward: int = 0) -> list
     Returns each node's entry: the slot the search first entered it by, so
     ``net.slot_heads[entry[v] ^ 1]`` is the node one step nearer ``start``
     and walking entries back from any reached node takes the shortest way
-    to ``start``.  Each node's slots are scanned in ascending arc order.
+    to ``start``.  Each node's ``(slot, head)`` pairs in
+    :attr:`~dmincut.network.Network.out_slots` are scanned in ascending arc
+    order, and the residual is read only for nodes not yet entered.
     ``backward=1`` reads slot ``s ^ 1`` instead of ``s``, so the search runs
     against the residual arcs: an entry ``s`` then records that ``s ^ 1``
     has room and leads from the entered node towards ``start``.  Unreached
@@ -56,15 +72,13 @@ def residual_tree(net: Network, residual, start: int, backward: int = 0) -> list
     unused.
     """
     adj = net.out_slots
-    to = net.slot_heads
     entry = [-1] * (net.node_count + 1)
     entry[start] = len(residual)
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for slot in adj[u]:
-            v = to[slot]
-            if residual[slot ^ backward] > 0 and entry[v] < 0:
+    queue = [start]
+    # The list grows while it is walked: a node appended is visited in turn.
+    for u in queue:
+        for slot, v in adj[u]:
+            if entry[v] < 0 and residual[slot ^ backward] > 0:
                 entry[v] = slot
                 queue.append(v)
     return entry
@@ -94,7 +108,10 @@ def max_flow(net: Network, state: StateVector) -> FlowState:
             residual[slot ^ 1] += sent
         total += sent
 
-    return FlowState(net=net, residual=tuple(residual), value=total)
+    fs = FlowState(net=net, residual=tuple(residual), value=total)
+    # The search that missed the sink ran on this very residual.
+    fs.__dict__["source_tree"] = entry
+    return fs
 
 
 def zero_flow(net: Network, state: StateVector) -> FlowState:
@@ -107,24 +124,28 @@ def residual_reachable(fs: FlowState) -> bool:
     """True iff the sink is reachable from the source in the residual graph.
 
     Forward residual exists where flow is below capacity, backward residual
-    where flow is positive.  For a maximal flow this is always False.
+    where flow is positive.  For a maximal flow this is always False.  It
+    reads :attr:`FlowState.source_tree`, so a flow from :func:`max_flow`
+    answers without a search.
     """
-    net = fs.net
-    return residual_tree(net, fs.residual, net.source)[net.sink] >= 0
+    return fs.source_tree[fs.net.sink] >= 0
 
 
 def lifting_arcs(fs: FlowState) -> set[int]:
     """Ids of the arcs (u, v) where the source reaches u and v reaches the sink in the residual.
 
-    One forward and one backward search classify every arc at once.  When
-    ``fs`` is a maximum flow, every new augmenting path crosses a raised
-    arc, so these are exactly the arcs whose capacity, raised by one unit,
-    lifts the max flow above ``fs.value``.  On the zero flow with a cut's
-    arcs closed and every other arc at one unit, which is maximal when the
-    cut disconnects, they are the cut arcs whose reopening restores a
-    source-sink path; :func:`dmincut.cuts.is_min_cut` decides minimality so.
+    One forward and one backward search classify every arc at once; the
+    forward one is :attr:`FlowState.source_tree`, which a flow from
+    :func:`max_flow` already holds, so only the backward search runs here.
+    When ``fs`` is a maximum flow, every new augmenting path crosses a
+    raised arc, so these are exactly the arcs whose capacity, raised by one
+    unit, lifts the max flow above ``fs.value``.  On the zero flow with a
+    cut's arcs closed and every other arc at one unit, which is maximal
+    when the cut disconnects, they are the cut arcs whose reopening
+    restores a source-sink path; :func:`dmincut.cuts.is_min_cut` decides
+    minimality so.
     """
-    net, residual = fs.net, fs.residual
-    from_source = residual_tree(net, residual, net.source)
-    to_sink = residual_tree(net, residual, net.sink, backward=1)
+    net = fs.net
+    from_source = fs.source_tree
+    to_sink = residual_tree(net, fs.residual, net.sink, backward=1)
     return {a.index for a in net.arcs if from_source[a.tail] >= 0 and to_sink[a.head] >= 0}

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import fsum
+from operator import le
 
 from .errors import NetworkParseError, ValidationError
 
@@ -95,18 +96,19 @@ class Network:
         return tuple(a.max_capacity for a in self.arcs)
 
     @cached_property
-    def out_slots(self) -> tuple[tuple[int, ...], ...]:
-        """Residual-graph adjacency, indexed by node (0 unused).
+    def out_slots(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Residual-graph adjacency as ``(slot, head)`` pairs, indexed by node (0 unused).
 
         Slot 2*(i-1) is the forward direction of arc i, slot 2*(i-1)+1 the
-        backward direction.  Built in ascending arc order so every traversal
-        that follows slot order breaks ties by arc id.
+        backward direction, and ``head`` is ``slot_heads[slot]``.  Built in
+        ascending arc order so every traversal that follows slot order
+        breaks ties by arc id.
         """
-        adj: list[list[int]] = [[] for _ in range(self.node_count + 1)]
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.node_count + 1)]
         for a in self.arcs:
             base = 2 * (a.index - 1)
-            adj[a.tail].append(base)
-            adj[a.head].append(base + 1)
+            adj[a.tail].append((base, a.head))
+            adj[a.head].append((base + 1, a.tail))
         return tuple(tuple(s) for s in adj)
 
     @cached_property
@@ -120,6 +122,11 @@ class Network:
 
     def validate_state(self, state: StateVector) -> None:
         """Raise unless ``state`` lies in the box [0, W] componentwise."""
+        # One pass at C speed accepts a state in the box; anything else takes
+        # the loop below, which names the first offending arc.
+        if (len(state) == self.arc_count and all(map(le, state, self.max_capacities))
+                and min(state, default=0) >= 0):
+            return
         if len(state) != self.arc_count:
             raise ValidationError(f"state vector has length {len(state)}, expected {self.arc_count}")
         for arc, x in zip(self.arcs, state):
@@ -130,22 +137,6 @@ class Network:
 def saturated_vector(net: Network) -> StateVector:
     """State vector with every arc at its maximum capacity."""
     return net.max_capacities
-
-
-def bump(net: Network, state: StateVector, arc_id: int) -> StateVector:
-    """Return a copy of ``state`` with arc ``arc_id`` raised by one unit.
-
-    Raising a saturated arc would leave the capacity box and raises
-    :class:`ValidationError`.
-    """
-    if not 1 <= arc_id <= net.arc_count:
-        raise ValidationError(f"arc id {arc_id} outside [1, {net.arc_count}]")
-    i = arc_id - 1
-    if state[i] >= net.max_capacities[i]:
-        raise ValidationError(
-            f"arc {arc_id} already at maximum capacity {net.max_capacities[i]}"
-        )
-    return state[:i] + (state[i] + 1,) + state[i + 1 :]
 
 
 def unsaturated_set(net: Network, state: StateVector) -> set[int]:
@@ -279,13 +270,3 @@ def parse_edge_distribution(text: str, net: Network) -> EdgeDistribution | None:
     dist.validate(net)
     return dist
 
-
-def serialize_network(net: Network, dist: EdgeDistribution | None = None) -> str:
-    """Write a network (and optional distribution) back to the file format."""
-    lines = [f"nodes {net.node_count} source {net.source} sink {net.sink}"]
-    for a in net.arcs:
-        lines.append(f"edge {a.index} {a.tail} {a.head} {a.max_capacity}")
-    if dist is not None:
-        for a, pmf in zip(net.arcs, dist.pmfs):
-            lines.append(f"prob {a.index} " + " ".join(repr(p) for p in pmf))
-    return "\n".join(lines) + "\n"

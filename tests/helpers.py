@@ -12,7 +12,7 @@ import random
 from collections import deque
 from math import comb, fsum
 
-from dmincut import Arc, EdgeDistribution, Network, state_space_size
+from dmincut import Arc, EdgeDistribution, Network, ValidationError, state_space_size
 
 
 def reachable_from_source(net: Network, removed=frozenset(), positive_caps=None):
@@ -86,6 +86,33 @@ def assert_feasible(fs, state) -> None:
             assert balance[node] == fs.value
         else:
             assert balance[node] == 0
+
+
+def bump(net: Network, state, arc_id: int) -> tuple[int, ...]:
+    """Return a copy of ``state`` with arc ``arc_id`` raised by one unit.
+
+    Raising a saturated arc would leave the capacity box and raises
+    :class:`ValidationError`.
+    """
+    if not 1 <= arc_id <= net.arc_count:
+        raise ValidationError(f"arc id {arc_id} outside [1, {net.arc_count}]")
+    i = arc_id - 1
+    if state[i] >= net.max_capacities[i]:
+        raise ValidationError(
+            f"arc {arc_id} already at maximum capacity {net.max_capacities[i]}"
+        )
+    return state[:i] + (state[i] + 1,) + state[i + 1 :]
+
+
+def serialize_network(net: Network, dist: EdgeDistribution | None = None) -> str:
+    """Write a network (and optional distribution) back to the file format."""
+    lines = [f"nodes {net.node_count} source {net.source} sink {net.sink}"]
+    for a in net.arcs:
+        lines.append(f"edge {a.index} {a.tail} {a.head} {a.max_capacity}")
+    if dist is not None:
+        for a, pmf in zip(net.arcs, dist.pmfs):
+            lines.append(f"prob {a.index} " + " ".join(repr(p) for p in pmf))
+    return "\n".join(lines) + "\n"
 
 
 def cut_capacity_minimum(net: Network, state) -> int:

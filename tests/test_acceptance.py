@@ -36,10 +36,9 @@ from dmincut import (
     verify_flawed,
 )
 from dmincut.candidates import compositions
-from dmincut.network import bump
 
 from conftest import FIXTURES
-from helpers import count_by_inclusion_exclusion, random_distribution, random_network
+from helpers import bump, count_by_inclusion_exclusion, random_distribution, random_network
 
 SWEEP_SEED = 8415
 SWEEP_NETWORKS = 200

@@ -9,18 +9,16 @@ from pathlib import Path
 
 from dmincut import (
     SolveReport,
-    bump,
     enumerate_candidates,
     enumerate_min_cuts,
     oracle,
     parse_network,
-    serialize_network,
     unsaturated_set,
 )
 from dmincut.cli import main
 
 from conftest import FIXTURES
-from helpers import grid_network, reachable_from_source
+from helpers import bump, grid_network, reachable_from_source, serialize_network
 
 FIG1 = str(FIXTURES / "fig1.net")
 FIG1_PROB = str(FIXTURES / "fig1_prob.net")

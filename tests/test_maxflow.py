@@ -6,8 +6,9 @@ import pytest
 
 from dmincut import (
     Arc,
+    FlowState,
     Network,
-    bump,
+    classify,
     enumerate_candidates,
     enumerate_min_cuts,
     lifting_arcs,
@@ -19,11 +20,13 @@ from dmincut import (
     unsaturated_set,
     zero_flow,
 )
+from dmincut import maxflow
 from dmincut.network import parse_network
 
 from helpers import (
     assert_feasible,
     box,
+    bump,
     cut_capacity_minimum,
     grid_network,
     random_network,
@@ -294,3 +297,82 @@ def test_min_cut_equality_on_full_box():
     )
     for state in box(net):
         assert max_flow(net, state).value == cut_capacity_minimum(net, state)
+
+
+@pytest.fixture
+def residual_tree_calls(monkeypatch):
+    """The ``(start, backward)`` of every ``residual_tree`` call the max-flow module makes."""
+    real = maxflow.residual_tree
+    calls = []
+
+    def counting(net, residual, start, backward=0):
+        calls.append((start, backward))
+        return real(net, residual, start, backward)
+
+    monkeypatch.setattr(maxflow, "residual_tree", counting)
+    return calls
+
+
+def test_classify_searches_once_at_the_demand_and_never_off_it(fig1, residual_tree_calls):
+    # The forward search comes with the max flow; classify adds only the
+    # backward one, and a flow off the demand is rejected without a search.
+    rng = random.Random(108)
+    nets = [fig1] + [random_network(rng) for _ in range(30)]
+    for net in nets:
+        state = random_state(rng, net)
+        value = max_flow(net, state).value
+        for demand in (value - 1, value, value + 1):
+            fs = max_flow(net, state)
+            residual_tree_calls.clear()
+            classify(fs, demand)
+            expected = [(net.sink, 1)] if demand == fs.value else []
+            assert residual_tree_calls == expected, (state, demand)
+
+
+def test_max_flow_keeps_its_last_search():
+    rng = random.Random(109)
+    for _ in range(200):
+        net = random_network(rng)
+        fs = max_flow(net, random_state(rng, net))
+        assert "source_tree" in vars(fs)
+        assert fs.source_tree == residual_tree(net, fs.residual, net.source)
+        assert fs.source_tree[net.sink] < 0
+
+
+def test_kept_search_is_not_part_of_the_state(fig1):
+    fs = max_flow(fig1, (3, 2, 3, 1, 2, 3))
+    fresh = FlowState(net=fig1, residual=fs.residual, value=fs.value)
+    assert "source_tree" in vars(fs) and "source_tree" not in vars(fresh)
+    assert fs == fresh and hash(fs) == hash(fresh)
+    assert repr(fs) == repr(fresh)
+    assert "source_tree" not in repr(fs)
+
+
+def test_replaced_residual_is_searched_again(fig1, residual_tree_calls):
+    # The zero flow under the saturated state has room on every arc, so the
+    # sink is reachable again; a search kept from the max flow would say not.
+    saturated = saturated_vector(fig1)
+    fs = max_flow(fig1, saturated)
+    assert not residual_reachable(fs)
+    zero = replace(fs, residual=tuple(r for x in saturated for r in (x, 0)), value=0)
+    assert "source_tree" not in vars(zero)
+    residual_tree_calls.clear()
+    assert residual_reachable(zero)
+    assert residual_tree_calls == [(fig1.source, 0)]
+    assert lifting_arcs(zero) == lifting_arcs(zero_flow(fig1, saturated)) != lifting_arcs(fs)
+
+
+def test_out_slots_pairs_each_slot_with_its_head():
+    rng = random.Random(110)
+    for _ in range(200):
+        net = random_network(rng)
+        to = net.slot_heads
+        assert len(net.out_slots) == net.node_count + 1 and net.out_slots[0] == ()
+        listed = []
+        for u in range(1, net.node_count + 1):
+            slots = [s for s, _ in net.out_slots[u]]
+            assert slots == sorted(slots)
+            assert net.out_slots[u] == tuple((s, to[s]) for s in slots)
+            assert all(to[s ^ 1] == u for s in slots)
+            listed += slots
+        assert sorted(listed) == list(range(2 * net.arc_count))

@@ -9,16 +9,14 @@ from dmincut import (
     Network,
     NetworkParseError,
     ValidationError,
-    bump,
     parse_edge_distribution,
     parse_network,
     saturated_vector,
-    serialize_network,
     unsaturated_set,
 )
 from dmincut.network import MAX_NODE_COUNT, MAX_TOTAL_CAPACITY
 
-from helpers import random_network
+from helpers import bump, random_network, random_state, serialize_network
 
 
 def test_parse_fig1(fig1):
@@ -143,10 +141,50 @@ def test_bump_shrinks_unsaturated_set():
 
 
 def test_validate_state_bounds(fig1):
-    with pytest.raises(ValidationError):
-        fig1.validate_state((5, 2, 3, 1, 3, 3))
-    with pytest.raises(ValidationError):
-        fig1.validate_state((0, 0, 0))
+    refusals = [
+        ((0, 0, 0), "state vector has length 3, expected 6"),
+        ((0,) * 7, "state vector has length 7, expected 6"),
+        ((0, -1, 3, 1, 3, 3), "arc 2: capacity -1 outside [0, 2]"),
+        ((5, 2, 3, 1, 3, 3), "arc 1: capacity 5 outside [0, 4]"),
+        ((0, 2, float("nan"), 1, 3, 3), "arc 3: capacity nan outside [0, 3]"),
+        # Two offences: the message names the lower arc.
+        ((0, 0, 0, 2, 0, -1), "arc 4: capacity 2 outside [0, 1]"),
+    ]
+    for state, message in refusals:
+        with pytest.raises(ValidationError) as refusal:
+            fig1.validate_state(state)
+        assert str(refusal.value) == message
+
+
+def test_validate_state_accepts_exactly_the_box():
+    # The arc-by-arc rule, written out: every state it refuses is refused,
+    # with the message of its first offence, and every other one passes.
+    def first_offence(net, state):
+        if len(state) != net.arc_count:
+            return f"state vector has length {len(state)}, expected {net.arc_count}"
+        for arc_id, (x, w) in enumerate(zip(state, net.max_capacities), start=1):
+            if not 0 <= x <= w:
+                return f"arc {arc_id}: capacity {x} outside [0, {w}]"
+        return None
+
+    rng = random.Random(12)
+    nan, inf = float("nan"), float("inf")
+    for _ in range(300):
+        net = random_network(rng)
+        for _ in range(10):
+            state = list(random_state(rng, net))
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                i = rng.randrange(net.arc_count)
+                state[i] = rng.choice((-1, net.max_capacities[i] + 1, nan, inf, -inf, 0.5, -0.0))
+            extra = rng.choice((0, 0, 0, 0, -1, 1))
+            state = tuple(state[:len(state) + extra] if extra < 0 else state + [0] * extra)
+            expected = first_offence(net, state)
+            if expected is None:
+                net.validate_state(state)
+            else:
+                with pytest.raises(ValidationError) as refusal:
+                    net.validate_state(state)
+                assert str(refusal.value) == expected, state
 
 
 def test_distribution_uniform_valid(fig1):

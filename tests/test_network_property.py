@@ -21,10 +21,14 @@ from dmincut import (  # noqa: E402
     parse_edge_distribution,
     parse_network,
     saturated_vector,
-    serialize_network,
 )
 
-from helpers import assert_feasible, min_cuts_by_subsets, reachable_from_source  # noqa: E402
+from helpers import (  # noqa: E402
+    assert_feasible,
+    min_cuts_by_subsets,
+    reachable_from_source,
+    serialize_network,
+)
 
 
 @st.composite

@@ -15,9 +15,9 @@ from dmincut import (
     verify,
     verify_flawed,
 )
-from dmincut.network import bump, parse_network
+from dmincut.network import parse_network
 
-from helpers import assert_feasible, box, random_network, random_state, reachable_from_source
+from helpers import assert_feasible, box, bump, random_network, random_state, reachable_from_source
 
 
 def test_benchmark_candidate_rejected_by_sound_test(fig1):
