@@ -9,6 +9,17 @@ cut iff the arcs whose unit bump opens a source-sink path
 (:func:`~dmincut.maxflow.lifting_arcs` of the zero flow) are exactly the
 cut's arcs (:func:`is_min_cut`).
 
+Each :class:`~dmincut.network.Network` keeps a record of the cuts already
+shown minimal on it, keyed by their sorted arc-id tuples:
+:func:`enumerate_min_cuts` records every cut it emits and
+:func:`is_min_cut` every set it accepts, so a solve from either source's
+output (:func:`parse_cuts` checks each line with :func:`is_min_cut`)
+searches no cut a second time.  The record lives on the network object
+and dies with it; it is no module-level cache, and it holds only proven
+cuts, never refusals.  It only grows, and each entry is a fact about the
+network's fixed arcs, so threads sharing a network can at worst repeat a
+search.
+
 Enumeration is output-sensitive: a backtracking search over source sides S
 (after Provan & Shier 1996) builds only the sets whose out-arcs are minimal
 cuts, so its work grows with the number of cuts, not with the 2^(n-2) node
@@ -53,12 +64,27 @@ def is_min_cut(net: Network, arc_ids) -> bool:
     the cut arcs whose reopening restores a path.  So the set is a minimal
     cut iff those lifting arcs are the cut itself: an open arc among them
     means a path survives, and a cut arc missing from them is not needed.
+
+    Arc ids outside the network are refused first.  A set in the network's
+    record of proven cuts is accepted without a search; a set the search
+    accepts joins the record, as ``arc_ids`` itself when that is already
+    its sorted tuple, so no second tuple is kept.  Refusals are not
+    recorded: a refused set ends its solve or cut file with an error, so it
+    is seldom asked about twice, and keeping refusals would let any
+    caller's probes grow the record without bound.
     """
     cut = frozenset(arc_ids)
     for arc_id in cut:
         if not 1 <= arc_id <= net.arc_count:
             raise ValidationError(f"arc id {arc_id} outside [1, {net.arc_count}]")
-    return lifting_arcs(_unit_zero_flow(net, cut)) == cut
+    key = tuple(sorted(cut))
+    proven = net._proven_min_cuts
+    if key in proven:
+        return True
+    if lifting_arcs(_unit_zero_flow(net, cut)) != cut:
+        return False
+    proven.add(arc_ids if isinstance(arc_ids, tuple) and arc_ids == key else key)
+    return True
 
 
 def enumerate_min_cuts(net: Network) -> list[MinCut]:
@@ -74,7 +100,8 @@ def enumerate_min_cuts(net: Network) -> list[MinCut]:
     every branch ends in a cut; S's out-arcs are emitted once it has no
     free out-neighbour.  The stack is explicit, so long paths do not hit
     the recursion limit.  Searches whose work passes ``CUT_SEARCH_GUARD``
-    are refused.
+    are refused.  Every cut returned joins the network's record of proven
+    cuts, so :func:`is_min_cut` accepts it without a search.
     """
     if not residual_reachable(_unit_zero_flow(net)):
         raise ValidationError("sink is unreachable from source; the network has no minimal cut")
@@ -116,6 +143,7 @@ def enumerate_min_cuts(net: Network) -> list[MinCut]:
         grow = side.copy()
         grow[branch] = _IN
         stack.append((grow, banned, None))
+    net._proven_min_cuts.update(found)
     return sorted(found, key=lambda c: (len(c), c))
 
 

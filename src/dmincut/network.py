@@ -51,7 +51,9 @@ class Network:
 
     Invariants are checked at construction: arc ids are exactly 1..m in
     order, node ids lie in [1, node_count], the source differs from the
-    sink, self-loops are rejected and capacities are nonnegative.
+    sink, self-loops are rejected and capacities are nonnegative.  The
+    fields never change; besides derived tables, an instance only grows
+    its record of proven minimal cuts (see :mod:`dmincut.cuts`).
     """
 
     node_count: int
@@ -110,6 +112,15 @@ class Network:
             adj[a.tail].append((base, a.head))
             adj[a.head].append((base + 1, a.tail))
         return tuple(tuple(s) for s in adj)
+
+    @cached_property
+    def _proven_min_cuts(self) -> set[tuple[int, ...]]:
+        """Sorted arc-id tuples already shown to be minimal cuts of this network.
+
+        Only :mod:`dmincut.cuts` reads or adds to it.  Like every cached
+        property here it is not a field, so equality, hash and repr ignore it.
+        """
+        return set()
 
     @cached_property
     def slot_heads(self) -> tuple[int, ...]:

@@ -1,5 +1,11 @@
 """End-to-end d-MC enumeration with operation accounting.
 
+Every listed cut must pass :func:`~dmincut.cuts.is_min_cut`, so a library
+caller's non-minimal cut is refused.  Cuts that
+:func:`~dmincut.cuts.enumerate_min_cuts` or
+:func:`~dmincut.cuts.parse_cuts` produced on the same network object are
+already in its record of proven cuts, and that check then runs no search.
+
 For each minimal cut the candidate stream is generated lazily; every
 candidate gets exactly one max-flow computation, from the zero flow,
 and, when that flow meets the demand, one residual classification of its

@@ -34,12 +34,24 @@ def test_fig1_cuts_match_subset_oracle(fig1):
     assert enumerate_min_cuts(fig1) == min_cuts_by_subsets(fig1)
 
 
-def test_is_min_cut_fig1(fig1):
+def test_is_min_cut_fig1(fig1, fig1_text):
+    cuts = enumerate_min_cuts(fig1)
+    assert all(is_min_cut(fig1, cut) for cut in cuts)
     assert is_min_cut(fig1, (1, 3, 4, 6))
-    # Not a cut: 1 -> 3 -> 2 -> 4 survives the removal of {1, 3, 6}.
-    assert not is_min_cut(fig1, (1, 3, 6))
+    # Not a cut: 1 -> 3 -> 2 -> 4 survives the removal of {1, 3, 6}.  Refusals
+    # are not recorded, so the second call is refused by a search too.
+    assert [is_min_cut(fig1, (1, 3, 6)) for _ in range(2)] == [False, False]
     # A cut but not minimal.
     assert not is_min_cut(fig1, (1, 2, 3, 4, 5, 6))
+    # The record of proven cuts belongs to one network object: with arc 4
+    # turned to run 2 -> 3, {1, 3, 6} already cuts and {1, 3, 4, 6} is refused.
+    flipped = replace(fig1, arcs=tuple(
+        replace(a, tail=a.head, head=a.tail) if a.index == 4 else a for a in fig1.arcs
+    ))
+    assert not is_min_cut(flipped, (1, 3, 4, 6))
+    # And it is no part of the network's value.
+    fresh = parse_network(fig1_text)
+    assert fig1 == fresh and hash(fig1) == hash(fresh) and repr(fig1) == repr(fresh)
 
 
 def test_is_min_cut_rejects_unknown_arc(fig1):
@@ -115,9 +127,13 @@ def test_cut_file_partial_list_allowed(fig1):
     assert parse_cuts("cut 1 2 3 5\n", fig1) == [(2, 3, 5)]
 
 
-def test_cut_file_invalid_cut_rejected(fig1):
+def test_cut_file_invalid_cut_rejected(fig1, capsys, tmp_path):
     with pytest.raises(ValidationError, match="not a minimal cut"):
         parse_cuts("cut 1 1 3 6\n", fig1)
+    for command in ("solve", "check-flaw"):
+        assert refusal_on_the_command_line(capsys, tmp_path, "cut 1 1 3 6\n", command) == (
+            2, "error: line 1: (1, 3, 6) is not a minimal cut\n"
+        )
 
 
 def test_cut_file_duplicate_rejected(fig1):
@@ -125,10 +141,10 @@ def test_cut_file_duplicate_rejected(fig1):
         parse_cuts("cut 1 2 3 5\ncut 2 5 3 2\n", fig1)
 
 
-def refusal_on_the_command_line(capsys, tmp_path, text):
+def refusal_on_the_command_line(capsys, tmp_path, text, command="solve"):
     cuts = tmp_path / "bad.cuts"
     cuts.write_text(text)
-    code = main(["solve", str(FIXTURES / "fig1.net"), "--demand", "7", "--cuts", str(cuts)])
+    code = main([command, str(FIXTURES / "fig1.net"), "--demand", "7", "--cuts", str(cuts)])
     captured = capsys.readouterr()
     assert captured.out == ""
     return code, captured.err

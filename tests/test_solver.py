@@ -12,12 +12,15 @@ from dmincut import (
     enumerate_candidates,
     enumerate_min_cuts,
     find_all_dmcs,
+    format_cuts,
     oracle,
+    parse_cuts,
     verify,
 )
+from dmincut import cuts as cuts_module
 from dmincut.network import parse_network
 
-from helpers import random_network
+from helpers import grid_network, random_network
 
 
 def test_fig1_demand7_excludes_benchmark_candidate(fig1):
@@ -198,12 +201,36 @@ def test_report_schema_is_pinned(fig1):
 
 
 def test_preconditions(fig1):
+    cuts = enumerate_min_cuts(fig1)
     with pytest.raises(ValidationError):
-        find_all_dmcs(fig1, -1, enumerate_min_cuts(fig1))
+        find_all_dmcs(fig1, -1, cuts)
     with pytest.raises(ValidationError):
         find_all_dmcs(fig1, 3, [])
-    with pytest.raises(ValidationError, match="not a minimal cut"):
-        find_all_dmcs(fig1, 3, [(1, 3, 6)])
+    # Proven cuts spare their search, never the refusal of a set that is not minimal.
+    for listed in ([(1, 3, 6)], cuts + [(1, 3, 6)]):
+        with pytest.raises(ValidationError, match="not a minimal cut"):
+            find_all_dmcs(fig1, 3, listed)
+
+
+def test_solve_searches_no_cut_its_source_proved(fig1_text, monkeypatch):
+    """Cuts from enumerate_min_cuts or parse_cuts cost find_all_dmcs no minimality search."""
+    real = cuts_module.lifting_arcs
+    searches = []
+    monkeypatch.setattr(cuts_module, "lifting_arcs", lambda fs: searches.append(fs) or real(fs))
+    rng = random.Random(3)
+    caps = [rng.randint(1, 3) for _ in range(20)]
+    for build in (lambda: parse_network(fig1_text), lambda: grid_network(2, 6, caps)):
+        net = build()
+        cuts = enumerate_min_cuts(net)
+        assert len(searches) == 0
+        find_all_dmcs(net, 1, cuts)
+        assert len(searches) == 0
+        net = build()
+        parsed = parse_cuts(format_cuts(cuts), net)
+        assert (parsed, len(searches)) == (cuts, len(cuts))
+        searches.clear()
+        find_all_dmcs(net, 1, parsed)
+        assert len(searches) == 0
 
 
 def test_audit_single_arc_network():
