@@ -20,7 +20,6 @@ from dmincut import (
     parse_network,
     reliability_exhaustive,
     reliability_from_dmcs,
-    saturated_vector,
 )
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "fig1_prob.net"
@@ -31,7 +30,7 @@ def main():
     net = parse_network(text)
     dist = parse_edge_distribution(text, net)
     cuts = enumerate_min_cuts(net)
-    top = max_flow(net, saturated_vector(net)).value
+    top = max_flow(net, net.max_capacities).value
 
     print(f"network {FIXTURE.name}: saturated max flow = {top}")
     print(f"{'demand':>6} {'exhaustive':>16} {'via d-MCs':>16}")

@@ -23,7 +23,6 @@ from .network import (
     format_vector,
     parse_edge_distribution,
     parse_network,
-    saturated_vector,
     unsaturated_set,
 )
 from .oracle import (
@@ -77,7 +76,6 @@ __all__ = [
     "reliability_from_dmcs",
     "residual_reachable",
     "residual_tree",
-    "saturated_vector",
     "state_space_size",
     "unsaturated_set",
     "verify",

@@ -81,7 +81,7 @@ def cmd_solve(args) -> int:
             f" total_candidate_bound={report.total_candidate_bound}"
         )
         print(
-            f"# candidates_total={c.candidates_total} maxflow_calls={c.maxflow_calls}"
+            f"# candidates_total={c.candidates_total}"
             f" residual_searches={c.residual_searches} duplicates_removed={c.duplicates_removed}"
         )
         print(f"# audit_ok={audit_complexity(report)}")

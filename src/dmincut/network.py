@@ -94,7 +94,7 @@ class Network:
 
     @cached_property
     def max_capacities(self) -> StateVector:
-        """The vector of per-arc maximum capacities."""
+        """The saturated state: every arc at its maximum capacity."""
         return tuple(a.max_capacity for a in self.arcs)
 
     @cached_property
@@ -143,11 +143,6 @@ class Network:
         for arc, x in zip(self.arcs, state):
             if not 0 <= x <= arc.max_capacity:
                 raise ValidationError(f"arc {arc.index}: capacity {x} outside [0, {arc.max_capacity}]")
-
-
-def saturated_vector(net: Network) -> StateVector:
-    """State vector with every arc at its maximum capacity."""
-    return net.max_capacities
 
 
 def unsaturated_set(net: Network, state: StateVector) -> set[int]:

@@ -1,8 +1,8 @@
 """End-to-end d-MC enumeration with operation accounting.
 
 Every listed cut must pass :func:`~dmincut.cuts.is_min_cut`, so a library
-caller's non-minimal cut is refused.  Cuts that
-:func:`~dmincut.cuts.enumerate_min_cuts` or
+caller's non-minimal cut is refused, and no cut may list an arc twice.
+Cuts that :func:`~dmincut.cuts.enumerate_min_cuts` or
 :func:`~dmincut.cuts.parse_cuts` produced on the same network object are
 already in its record of proven cuts, and that check then runs no search.
 
@@ -17,40 +17,32 @@ saturated state, and runs only when no d-MC was found: a d-MC X has
 W(X) = d, and the saturated max flow is at least W(X), so any d-MC already
 proves the demand feasible.
 
-The counters exist so the operation-count bounds can be audited: the
-number of max-flow calls is bounded by the total closed-form candidate
-count across cuts, and the number of residual classifications by the
-number of candidates examined.
+The counters exist so the candidate count can be audited: the candidates
+streamed must equal the corrected Theorem 6 count summed over the cuts.
 """
 
 from __future__ import annotations
 
 import json
-from copy import copy
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 from .candidates import count_candidates, enumerate_candidates
 from .cuts import MinCut, is_min_cut
 from .errors import ValidationError
 from .maxflow import max_flow
-from .network import Network, StateVector, saturated_vector
+from .network import Network, StateVector
 from .verify import verify
 
 
 @dataclass
 class OperationCounters:
-    maxflow_calls: int = 0
     candidates_total: int = 0
     candidates_per_cut: list[int] = field(default_factory=list)
     residual_searches: int = 0
     duplicates_removed: int = 0
 
     def to_dict(self) -> dict:
-        return {f.name: copy(getattr(self, f.name)) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "OperationCounters":
-        return cls(**{f.name: copy(data[f.name]) for f in fields(cls)})
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -67,34 +59,17 @@ class SolveReport:
     infeasible_demand: bool
     diagnostic: str | None
 
-    def to_dict(self) -> dict:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data["dmcs"] = [list(v) for v in self.dmcs]
-        data["counters"] = self.counters.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SolveReport":
-        values = {f.name: data[f.name] for f in fields(cls)}
-        values["dmcs"] = tuple(tuple(v) for v in values["dmcs"])
-        values["counters"] = OperationCounters.from_dict(values["counters"])
-        return cls(**values)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SolveReport":
-        return cls.from_dict(json.loads(text))
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def infeasibility(net: Network, demand: int) -> str | None:
     """Why no d-MC exists at ``demand`` (above the saturated max flow), or None.
 
-    This max-flow call is outside the per-candidate accounting, so the audit bounds stay exact.
+    This max-flow call is outside the per-candidate accounting.
     :func:`find_all_dmcs` makes it only when it found no d-MC.
     """
-    top = max_flow(net, saturated_vector(net)).value
+    top = max_flow(net, net.max_capacities).value
     if demand > top:
         return f"no {demand}-MC exists: demand {demand} exceeds the max flow {top} of the fully saturated network"
     return None
@@ -112,6 +87,8 @@ def find_all_dmcs(net: Network, demand: int, cuts: list[MinCut]) -> SolveReport:
     if not cuts:
         raise ValidationError("cut list is empty")
     for cut in cuts:
+        if len(set(cut)) != len(cut):
+            raise ValidationError(f"{tuple(cut)} has a repeated arc id")
         if not is_min_cut(net, cut):
             raise ValidationError(f"{tuple(cut)} is not a minimal cut of this network")
 
@@ -122,7 +99,6 @@ def find_all_dmcs(net: Network, demand: int, cuts: list[MinCut]) -> SolveReport:
         for vector in enumerate_candidates(net, cut, demand):
             generated += 1
             verdict = verify(net, vector, demand)
-            counters.maxflow_calls += 1
             if verdict.flow_value == demand:
                 counters.residual_searches += 1
             if verdict.is_dmc:
@@ -149,15 +125,9 @@ def find_all_dmcs(net: Network, demand: int, cuts: list[MinCut]) -> SolveReport:
 
 
 def audit_complexity(report: SolveReport) -> bool:
-    """Check the operation counts against their counted bounds.
+    """True iff the candidates streamed equal the summed per-cut candidate counts.
 
-    Max-flow usage must not exceed the summed per-cut candidate counts
-    (which in turn cannot exceed cuts x max-per-cut), and residual
-    classifications must not exceed one per examined candidate.
+    The bound is the corrected Theorem 6 count of each cut, so the identity
+    says the solver examined exactly the candidates that count promises.
     """
-    c = report.counters
-    return (
-        c.maxflow_calls <= report.total_candidate_bound
-        and report.total_candidate_bound <= report.cut_count * report.max_candidates_per_cut
-        and c.residual_searches <= c.candidates_total
-    )
+    return report.counters.candidates_total == report.total_candidate_bound

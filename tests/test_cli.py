@@ -8,9 +8,9 @@ import sys
 from pathlib import Path
 
 from dmincut import (
-    SolveReport,
     enumerate_candidates,
     enumerate_min_cuts,
+    find_all_dmcs,
     oracle,
     parse_network,
     unsaturated_set,
@@ -74,13 +74,13 @@ def test_solve_infeasible_demand_exits_3(capsys):
     assert "# diagnostic:" in out
 
 
-def test_solve_json_round_trips(capsys):
+def test_solve_json_round_trips(capsys, fig1):
     code, out, _ = run(capsys, "solve", FIG1, "--demand", "7", "--json")
     assert code == 0
-    report = SolveReport.from_dict(json.loads(out))
-    assert report.demand == 7
-    assert len(report.dmcs) == 5
-    assert report.to_dict() == json.loads(out)
+    data = json.loads(out)
+    assert data["demand"] == 7
+    assert len(data["dmcs"]) == 5
+    assert data == json.loads(find_all_dmcs(fig1, 7, enumerate_min_cuts(fig1)).to_json())
 
 
 def test_solve_with_full_cut_file_matches_enumeration(capsys):

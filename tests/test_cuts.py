@@ -15,7 +15,6 @@ from dmincut import (
     is_min_cut,
     max_flow,
     parse_cuts,
-    saturated_vector,
 )
 from dmincut.cli import main
 from dmincut.network import parse_network
@@ -110,7 +109,7 @@ def test_cut_capacity_bounds_max_flow():
     rng = random.Random(202)
     for _ in range(25):
         net = random_network(rng)
-        full = saturated_vector(net)
+        full = net.max_capacities
         value = max_flow(net, full).value
         for cut in enumerate_min_cuts(net):
             assert sum(full[a - 1] for a in cut) >= value

@@ -16,7 +16,6 @@ from dmincut import (
     max_flow_value,
     residual_reachable,
     residual_tree,
-    saturated_vector,
     unsaturated_set,
     zero_flow,
 )
@@ -37,8 +36,8 @@ from helpers import (
 
 def test_fig1_flow_values(fig1):
     # Saturated value derived from the exhaustive cut-capacity oracle.
-    assert cut_capacity_minimum(fig1, saturated_vector(fig1)) == 8
-    assert max_flow(fig1, saturated_vector(fig1)).value == 8
+    assert cut_capacity_minimum(fig1, fig1.max_capacities) == 8
+    assert max_flow(fig1, fig1.max_capacities).value == 8
     assert max_flow(fig1, (0, 2, 3, 1, 3, 3)).value == 5
     assert max_flow(fig1, (1, 2, 3, 1, 3, 3)).value == 6
     assert max_flow(fig1, (0, 0, 0, 0, 0, 0)).value == 0
@@ -88,7 +87,7 @@ def test_deterministic_flow(fig1):
 
 def test_residual_reachable_at_maximality(fig1):
     rng = random.Random(103)
-    for state in [saturated_vector(fig1), (1, 2, 3, 1, 3, 3), (0, 2, 3, 1, 3, 3)]:
+    for state in [fig1.max_capacities, (1, 2, 3, 1, 3, 3), (0, 2, 3, 1, 3, 3)]:
         assert not residual_reachable(max_flow(fig1, state))
     for _ in range(30):
         net = random_network(rng)
@@ -101,7 +100,7 @@ def test_residual_reachable_below_maximum(fig1):
     # unit taken off the saturated state lowers the flow by at most one, and
     # the cut caps it at d.  Its max flow, read under the saturated
     # capacities, is a feasible flow of value d below the maximum.
-    saturated = saturated_vector(fig1)
+    saturated = fig1.max_capacities
     full = max_flow(fig1, saturated).value
     cut = min(enumerate_min_cuts(fig1), key=lambda c: sum(saturated[a - 1] for a in c))
     assert sum(saturated[a - 1] for a in cut) == full
@@ -184,7 +183,7 @@ def test_lifting_arcs_anti_parallel_pair():
 
 def test_flow_cancelling_path():
     net = parse_network(FLOW_CANCELLING)
-    fs = max_flow(net, saturated_vector(net))
+    fs = max_flow(net, net.max_capacities)
     assert fs.value == 3
     assert fs.residual[1::2] == (1, 2, 0, 1, 2, 2, 1)  # the only maximum flow
     for state in box(net):
@@ -351,7 +350,7 @@ def test_kept_search_is_not_part_of_the_state(fig1):
 def test_replaced_residual_is_searched_again(fig1, residual_tree_calls):
     # The zero flow under the saturated state has room on every arc, so the
     # sink is reachable again; a search kept from the max flow would say not.
-    saturated = saturated_vector(fig1)
+    saturated = fig1.max_capacities
     fs = max_flow(fig1, saturated)
     assert not residual_reachable(fs)
     zero = replace(fs, residual=tuple(r for x in saturated for r in (x, 0)), value=0)

@@ -11,7 +11,6 @@ from dmincut import (
     ValidationError,
     parse_edge_distribution,
     parse_network,
-    saturated_vector,
     unsaturated_set,
 )
 from dmincut.network import MAX_NODE_COUNT, MAX_TOTAL_CAPACITY
@@ -95,14 +94,14 @@ def test_serialize_parse_round_trip_random():
 
 
 def test_saturated_vector_fig1(fig1):
-    assert saturated_vector(fig1) == (4, 2, 3, 1, 3, 3)
+    assert fig1.max_capacities == (4, 2, 3, 1, 3, 3)
 
 
 def test_saturated_vector_degenerate_cases():
     zero = parse_network("nodes 2 source 1 sink 2\nedge 1 1 2 0\nedge 2 2 1 0\n")
-    assert saturated_vector(zero) == (0, 0)
+    assert zero.max_capacities == (0, 0)
     one_arc = parse_network("nodes 2 source 1 sink 2\nedge 1 1 2 5\n")
-    assert saturated_vector(one_arc) == (5,)
+    assert one_arc.max_capacities == (5,)
 
 
 def test_bump_increments_single_component(fig1):
@@ -111,19 +110,19 @@ def test_bump_increments_single_component(fig1):
 
 
 def test_bump_saturated_arc_is_flagged(fig1):
-    full = saturated_vector(fig1)
+    full = fig1.max_capacities
     with pytest.raises(ValidationError, match="maximum"):
         bump(fig1, full, 1)
 
 
 def test_bump_unknown_arc_rejected(fig1):
     with pytest.raises(ValidationError):
-        bump(fig1, saturated_vector(fig1), 7)
+        bump(fig1, fig1.max_capacities, 7)
 
 
 def test_unsaturated_set_fig1(fig1):
     assert unsaturated_set(fig1, (0, 2, 3, 1, 3, 3)) == {1}
-    assert unsaturated_set(fig1, saturated_vector(fig1)) == set()
+    assert unsaturated_set(fig1, fig1.max_capacities) == set()
     assert unsaturated_set(fig1, (0, 0, 0, 0, 0, 0)) == {1, 2, 3, 4, 5, 6}
 
 

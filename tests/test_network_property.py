@@ -20,7 +20,6 @@ from dmincut import (  # noqa: E402
     max_flow_value,
     parse_edge_distribution,
     parse_network,
-    saturated_vector,
 )
 
 from helpers import (  # noqa: E402
@@ -85,7 +84,7 @@ def test_solver_equals_oracle_at_every_level(net):
     assume(net.sink in reachable_from_source(net))
     cuts = enumerate_min_cuts(net)
     levels = dmc_levels(net)
-    top = max_flow_value(net, saturated_vector(net))
+    top = max_flow_value(net, net.max_capacities)
     for d in range(top + 2):
         report = find_all_dmcs(net, d, cuts)
         assert report.dmcs == levels.get(d, ()), d

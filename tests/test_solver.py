@@ -1,8 +1,11 @@
+import json
 import random
+from dataclasses import asdict, replace
 
 import pytest
 
 from dmincut import (
+    OperationCounters,
     SolveReport,
     ValidationError,
     audit_complexity,
@@ -107,10 +110,9 @@ def test_counters_account_every_candidate(fig1):
     report = find_all_dmcs(fig1, 7, cuts)
     c = report.counters
     assert c.candidates_total == sum(c.candidates_per_cut)
-    assert c.maxflow_calls == c.candidates_total  # one max-flow per candidate
     assert c.candidates_per_cut == [count_candidates(fig1, cut, 7) for cut in cuts]
-    assert c.maxflow_calls <= report.total_candidate_bound
-    assert report.total_candidate_bound <= report.cut_count * report.max_candidates_per_cut
+    assert c.candidates_total == report.total_candidate_bound
+    assert report.max_candidates_per_cut == max(c.candidates_per_cut)
     # One residual search per candidate, duplicates included, whose max flow meets the demand.
     assert c.residual_searches == sum(
         oracle.max_flow_value(fig1, cand) == 7
@@ -174,30 +176,28 @@ def test_determinism_including_counters(fig1):
 
 def test_report_json_round_trip(fig1):
     report = find_all_dmcs(fig1, 7, enumerate_min_cuts(fig1))
-    again = SolveReport.from_json(report.to_json())
+    data = json.loads(report.to_json())
+    again = SolveReport(**{**data, "dmcs": tuple(map(tuple, data["dmcs"])),
+                           "counters": OperationCounters(**data["counters"])})
     assert again == report
 
 
 def test_report_schema_is_pinned(fig1):
     # The keys come from the dataclass fields, so a new field changes the
     # documented JSON schema; this keeps that change deliberate.
-    data = find_all_dmcs(fig1, 7, enumerate_min_cuts(fig1)).to_dict()
-    assert list(data) == [
+    report = find_all_dmcs(fig1, 7, enumerate_min_cuts(fig1))
+    fields = asdict(report)
+    assert list(fields) == [
         "demand", "cut_count", "arc_count", "max_candidates_per_cut", "total_candidate_bound",
         "dmcs", "counters", "infeasible_demand", "diagnostic",
     ]
-    assert list(data["counters"]) == [
-        "maxflow_calls", "candidates_total", "candidates_per_cut", "residual_searches",
-        "duplicates_removed",
+    assert list(fields["counters"]) == [
+        "candidates_total", "candidates_per_cut", "residual_searches", "duplicates_removed",
     ]
+    data = json.loads(report.to_json())
+    assert list(data) == sorted(fields)
+    assert list(data["counters"]) == sorted(fields["counters"])
     assert data["dmcs"][0] == [2, 2, 3, 1, 3, 3]
-    for missing in ("diagnostic", "counters"):
-        with pytest.raises(KeyError, match=missing):
-            SolveReport.from_dict({k: v for k, v in data.items() if k != missing})
-    counters = dict(data["counters"])
-    del counters["duplicates_removed"]
-    with pytest.raises(KeyError, match="duplicates_removed"):
-        SolveReport.from_dict({**data, "counters": counters})
 
 
 def test_preconditions(fig1):
@@ -206,6 +206,9 @@ def test_preconditions(fig1):
         find_all_dmcs(fig1, -1, cuts)
     with pytest.raises(ValidationError):
         find_all_dmcs(fig1, 3, [])
+    # The set {1, 2, 3} is a minimal cut, but listing arc 3 twice makes the stream walk it twice.
+    with pytest.raises(ValidationError, match="repeated arc id"):
+        find_all_dmcs(fig1, 3, [(1, 2, 3, 3)])
     # Proven cuts spare their search, never the refusal of a set that is not minimal.
     for listed in ([(1, 3, 6)], cuts + [(1, 3, 6)]):
         with pytest.raises(ValidationError, match="not a minimal cut"):
@@ -239,4 +242,7 @@ def test_audit_single_arc_network():
     for demand in range(0, 6):
         report = find_all_dmcs(net, demand, cuts)
         assert audit_complexity(report)
-        assert report.counters.maxflow_calls <= 1
+        # The one cut {1} yields the candidate (d,) while d fits the arc, and none after.
+        assert report.counters.candidates_total == (demand <= 3)
+        # The audit is an identity: one candidate more in the bound fails it.
+        assert not audit_complexity(replace(report, total_candidate_bound=report.total_candidate_bound + 1))

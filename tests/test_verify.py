@@ -10,7 +10,6 @@ from dmincut import (
     enumerate_min_cuts,
     max_flow,
     max_flow_value,
-    saturated_vector,
     unsaturated_set,
     verify,
     verify_flawed,
@@ -50,7 +49,7 @@ def test_single_arc_network_definition():
 
 
 def test_saturated_vector_verdicts(fig1):
-    full = saturated_vector(fig1)
+    full = fig1.max_capacities
     # Max flow of the saturated network is 8: vacuous acceptance there only.
     assert verify(fig1, full, 8).is_dmc
     assert verify_flawed(max_flow(fig1, full)).is_dmc
