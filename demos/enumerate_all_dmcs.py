@@ -2,7 +2,8 @@
 """Enumerate the d-MCs of the benchmark network at every feasible demand.
 
 Shows the full pipeline: minimal cuts in, bounded-composition candidates
-per cut, one max-flow test per candidate, residual checks per unsaturated
+per cut, one max-flow test per candidate that no earlier min cut of its
+cut's stream proves below the demand, residual checks per unsaturated
 arc, duplicates merged.  The brute-force oracle sweeps the whole capacity
 box and must agree level by level; the candidates streamed equal their
 counted bound.

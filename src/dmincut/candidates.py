@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .cuts import MinCut
+from .cuts import MinCut, refuse_repeated_arcs
 from .errors import ValidationError
 from .network import Network, StateVector
 
@@ -88,9 +88,11 @@ def enumerate_candidates(net: Network, cut: MinCut, demand: int) -> Iterator[Sta
     consuming lazily lets the solver interleave generation and testing.
     Every on-cut entry is rewritten for each candidate, so one buffer
     serves the whole stream and each candidate is a fresh tuple of it.
+    A negative demand or a repeated arc id is refused at the first read.
     """
     if demand < 0:
         raise ValidationError(f"demand must be nonnegative, got {demand}")
+    refuse_repeated_arcs(cut)
     positions = [arc_id - 1 for arc_id in cut]
     caps = [net.max_capacities[p] for p in positions]
     vector = list(net.max_capacities)
@@ -104,4 +106,5 @@ def count_candidates(net: Network, cut: MinCut, demand: int) -> int:
     """Closed-form length of ``enumerate_candidates(net, cut, demand)``."""
     if demand < 0:
         raise ValidationError(f"demand must be nonnegative, got {demand}")
+    refuse_repeated_arcs(cut)
     return count_compositions([net.max_capacities[a - 1] for a in cut], demand)

@@ -56,6 +56,12 @@ def _unit_zero_flow(net: Network, closed=()) -> FlowState:
     return FlowState(net=net, residual=tuple(residual), value=0)
 
 
+def refuse_repeated_arcs(cut) -> None:
+    """Raise :class:`ValidationError` when ``cut`` lists an arc id more than once."""
+    if len(set(cut)) != len(cut):
+        raise ValidationError(f"{tuple(cut)} has a repeated arc id")
+
+
 def is_min_cut(net: Network, arc_ids) -> bool:
     """True iff ``arc_ids`` disconnects source from sink and no proper subset does.
 
@@ -65,18 +71,19 @@ def is_min_cut(net: Network, arc_ids) -> bool:
     cut iff those lifting arcs are the cut itself: an open arc among them
     means a path survives, and a cut arc missing from them is not needed.
 
-    Arc ids outside the network are refused first.  A set in the network's
-    record of proven cuts is accepted without a search; a set the search
-    accepts joins the record, as ``arc_ids`` itself when that is already
-    its sorted tuple, so no second tuple is kept.  Refusals are not
-    recorded: a refused set ends its solve or cut file with an error, so it
-    is seldom asked about twice, and keeping refusals would let any
-    caller's probes grow the record without bound.
+    Arc ids outside the network are refused first, then a repeated arc
+    id.  A set in the network's record of proven cuts is accepted without
+    a search; a set the search accepts joins the record, as ``arc_ids``
+    itself when that is already its sorted tuple, so no second tuple is
+    kept.  Refusals are not recorded: a refused set ends its solve or cut
+    file with an error, so it is seldom asked about twice, and keeping
+    refusals would let any caller's probes grow the record without bound.
     """
     cut = frozenset(arc_ids)
     for arc_id in cut:
         if not 1 <= arc_id <= net.arc_count:
             raise ValidationError(f"arc id {arc_id} outside [1, {net.arc_count}]")
+    refuse_repeated_arcs(arc_ids)
     key = tuple(sorted(cut))
     proven = net._proven_min_cuts
     if key in proven:

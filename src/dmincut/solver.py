@@ -7,10 +7,18 @@ Cuts that :func:`~dmincut.cuts.enumerate_min_cuts` or
 already in its record of proven cuts, and that check then runs no search.
 
 For each minimal cut the candidate stream is generated lazily; every
-candidate gets exactly one max-flow computation, from the zero flow,
+candidate gets at most one max-flow computation, from the zero flow,
 and, when that flow meets the demand, one residual classification of its
 arcs.  Reusing a flow between candidates while capacities only rise would
 be sound, since the old flow stays feasible; it is not done here.
+
+A max flow below the demand leaves a certificate for the rest of its
+cut's stream: :attr:`~dmincut.verify.Verdict.min_cut`, a source-sink cut
+of capacity W(K) under the candidate K.  Every candidate of a cut gives
+the off-cut arcs their full capacity, so a later candidate Y that gives
+that min cut a capacity below the demand has W(Y) < d; it is counted but
+gets no max flow.
+
 Accepted vectors are merged into a set because distinct cuts can emit the
 same d-MC.  The infeasibility diagnostic costs one more max flow, of the
 saturated state, and runs only when no d-MC was found: a d-MC X has
@@ -87,8 +95,6 @@ def find_all_dmcs(net: Network, demand: int, cuts: list[MinCut]) -> SolveReport:
     if not cuts:
         raise ValidationError("cut list is empty")
     for cut in cuts:
-        if len(set(cut)) != len(cut):
-            raise ValidationError(f"{tuple(cut)} has a repeated arc id")
         if not is_min_cut(net, cut):
             raise ValidationError(f"{tuple(cut)} is not a minimal cut of this network")
 
@@ -96,8 +102,16 @@ def find_all_dmcs(net: Network, demand: int, cuts: list[MinCut]) -> SolveReport:
     found: set[StateVector] = set()
     for cut in cuts:
         generated = 0
+        # (offset, positions): a min cut whose capacity under a candidate of this
+        # cut is offset + sum(vector[p] for p in positions).
+        certificates: list[tuple[int, tuple[int, ...]]] = []
         for vector in enumerate_candidates(net, cut, demand):
             generated += 1
+            if certificates and any(
+                offset + sum(map(vector.__getitem__, positions)) < demand
+                for offset, positions in certificates
+            ):
+                continue
             verdict = verify(net, vector, demand)
             if verdict.flow_value == demand:
                 counters.residual_searches += 1
@@ -106,6 +120,10 @@ def find_all_dmcs(net: Network, demand: int, cuts: list[MinCut]) -> SolveReport:
                     counters.duplicates_removed += 1
                 else:
                     found.add(vector)
+            elif verdict.flow_value < demand:
+                positions = tuple(a - 1 for a in set(cut).intersection(verdict.min_cut))
+                offset = verdict.flow_value - sum(map(vector.__getitem__, positions))
+                certificates.append((offset, positions))
         counters.candidates_total += generated
         counters.candidates_per_cut.append(generated)
 

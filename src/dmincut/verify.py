@@ -38,11 +38,17 @@ class Verdict:
     failed the test, or None; a sound rejection with ``flow_value !=
     demand`` happened before any arc was examined.  Both tests build their
     verdict with :func:`classify`; ``flow_value`` is W(X) for both.
+
+    ``min_cut`` is set only on that rejection, and None otherwise: the
+    ascending ids of the arcs leaving the nodes the source reaches in the
+    max flow's residual, a source-sink cut whose capacities under X sum to
+    ``flow_value``.  No state has a max flow above its total over them.
     """
 
     is_dmc: bool
     flow_value: int
     failing_arc: int | None
+    min_cut: tuple[int, ...] | None = None
 
 
 def _capacities(fs: FlowState) -> StateVector:
@@ -57,7 +63,11 @@ def classify(fs: FlowState, demand: int) -> Verdict:
     whose unit bump does not lift the flow, so it is deterministic.
     """
     if fs.value != demand:
-        return Verdict(is_dmc=False, flow_value=fs.value, failing_arc=None)
+        reached = fs.source_tree
+        min_cut = tuple(
+            a.index for a in fs.net.arcs if reached[a.tail] >= 0 and reached[a.head] < 0
+        )
+        return Verdict(is_dmc=False, flow_value=fs.value, failing_arc=None, min_cut=min_cut)
     failing = unsaturated_set(fs.net, _capacities(fs)) - lifting_arcs(fs)
     return Verdict(is_dmc=not failing, flow_value=fs.value, failing_arc=min(failing, default=None))
 

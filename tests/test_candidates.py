@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from dmincut import count_candidates, count_compositions, enumerate_candidates
+from dmincut import ValidationError, count_candidates, count_compositions, enumerate_candidates
 from dmincut.candidates import compositions
 
 from helpers import count_by_inclusion_exclusion
@@ -64,6 +64,17 @@ def test_negative_demand_rejected(fig1):
         list(enumerate_candidates(fig1, (1, 2, 3), -1))
     with pytest.raises(ValueError):
         count_candidates(fig1, (1, 2, 3), -1)
+
+
+def test_count_candidates_refuses_a_repeated_arc_id(fig1):
+    # Counting arc 3 twice would give 19 candidates where the cut {1, 2, 3} has 9.
+    with pytest.raises(ValidationError, match=r"^\(1, 2, 3, 3\) has a repeated arc id$"):
+        count_candidates(fig1, (1, 2, 3, 3), 3)
+
+
+def test_enumerate_candidates_refuses_a_repeated_arc_id(fig1):
+    with pytest.raises(ValidationError, match=r"^\(1, 2, 3, 3\) has a repeated arc id$"):
+        list(enumerate_candidates(fig1, (1, 2, 3, 3), 3))
 
 
 def test_count_compositions_basics():

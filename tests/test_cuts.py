@@ -58,6 +58,16 @@ def test_is_min_cut_rejects_unknown_arc(fig1):
         is_min_cut(fig1, (1, 9))
 
 
+def test_is_min_cut_refuses_a_repeated_arc_id(fig1):
+    # {1, 2, 3} is in the record of proven cuts; the repeat is refused before that lookup.
+    assert is_min_cut(fig1, (1, 2, 3))
+    with pytest.raises(ValidationError, match=r"^\(1, 2, 3, 3\) has a repeated arc id$"):
+        is_min_cut(fig1, (1, 2, 3, 3))
+    # Arc ids outside the network are refused first.
+    with pytest.raises(ValidationError, match=r"^arc id 9 outside \[1, 6\]$"):
+        is_min_cut(fig1, (3, 9, 9))
+
+
 def test_single_arc_network():
     net = parse_network("nodes 2 source 1 sink 2\nedge 1 1 2 3\n")
     assert enumerate_min_cuts(net) == [(1,)]

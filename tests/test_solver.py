@@ -23,6 +23,7 @@ from dmincut import (
 from dmincut import cuts as cuts_module
 from dmincut.network import parse_network
 
+from conftest import REPO_ROOT
 from helpers import grid_network, random_network
 
 
@@ -91,18 +92,73 @@ def test_partial_cut_list_yields_subset(fig1):
     assert set(partial.dmcs) <= set(full.dmcs)
 
 
-def test_solve_runs_one_max_flow_per_candidate_once_a_dmc_is_found(fig1, max_flow_calls):
-    # A d-MC proves the demand feasible, so the saturated max flow of the
-    # infeasibility diagnostic runs only when none was found.
+def skipped_candidates(net, cut_list, demand, report, calls):
+    """The candidates ``find_all_dmcs`` ran no max flow on, given the states it did.
+
+    The calls must be the cuts' candidate streams in order with some
+    candidates left out, then the saturated state when no d-MC was found.
+    """
+    calls = list(calls)
+    if not report.dmcs:
+        assert calls.pop() == net.max_capacities
+    flowed = iter(calls)
+    expected = next(flowed, None)
+    skipped = []
+    for cut in cut_list:
+        for cand in enumerate_candidates(net, cut, demand):
+            if cand == expected:
+                expected = next(flowed, None)
+            else:
+                skipped.append(cand)
+    assert expected is None, f"{expected} is no candidate left in the streams"
+    return skipped
+
+
+def test_solve_max_flows_every_candidate_no_certificate_skips(fig1, max_flow_calls):
+    # A candidate is skipped only when a min cut from an earlier max flow of
+    # its cut's stream proves W < d.  A d-MC proves the demand feasible, so
+    # the saturated max flow of the infeasibility diagnostic runs only when
+    # none was found.
     cuts = enumerate_min_cuts(fig1)
+    counts = []
     for demand, cut_list, found in [(d, cuts, True) for d in range(9)] + [
         (9, cuts, False), (12, cuts, False), (8, [(1, 2, 3)], False),
     ]:
         max_flow_calls.clear()
         report = find_all_dmcs(fig1, demand, cut_list)
         assert bool(report.dmcs) is found
-        assert len(max_flow_calls) == report.counters.candidates_total + (not found)
+        for cand in skipped_candidates(fig1, cut_list, demand, report, max_flow_calls):
+            assert oracle.max_flow_value(fig1, cand) < demand
+        counts.append(len(max_flow_calls))
         assert report.infeasible_demand is (demand > 8)
+    # d = 0..9 (the 5 at d = 9 includes the saturated max flow), then d = 12
+    # (no candidate) and the lone cut {1, 2, 3} at d = 8.
+    assert counts == [4, 13, 27, 43, 50, 45, 31, 17, 8, 5, 1, 3]
+
+
+def test_solve_max_flow_count_on_the_grid_at_demand_2(max_flow_calls):
+    # The seed-1 4x4 benchmark grid with its stored list of all 1,160 cuts.
+    rng = random.Random("grid-4x4:1")
+    net = grid_network(4, 4, [rng.randint(1, 3) for _ in range(32)])
+    cuts = parse_cuts((REPO_ROOT / "perfbench" / "data" / "grid-4x4.cuts").read_text(), net)
+    report = find_all_dmcs(net, 2, cuts)
+    assert (report.counters.candidates_total, len(report.dmcs)) == (37_475, 2_877)
+    assert len(max_flow_calls) == 28_979
+
+
+def test_skipped_candidates_are_below_demand_on_the_acceptance_sweep(max_flow_calls):
+    rng = random.Random(8415)  # the acceptance sweep's 200 networks, drawn alike
+    skipped = 0
+    for _ in range(200):
+        net = random_network(rng, max_nodes=6, max_arcs=8, max_cap=3)
+        cuts = enumerate_min_cuts(net)
+        for demand in range(oracle.max_flow_value(net, net.max_capacities) + 2):
+            max_flow_calls.clear()
+            report = find_all_dmcs(net, demand, cuts)
+            for cand in skipped_candidates(net, cuts, demand, report, max_flow_calls):
+                assert oracle.max_flow_value(net, cand) < demand
+                skipped += 1
+    assert skipped > 300  # 343 when this was written: the property is exercised
 
 
 def test_counters_account_every_candidate(fig1):

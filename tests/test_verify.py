@@ -24,6 +24,7 @@ def test_benchmark_candidate_rejected_by_sound_test(fig1):
     assert not verdict.is_dmc
     assert verdict.flow_value == 5
     assert verdict.failing_arc is None  # rejected on the flow clause, before any arc
+    assert verdict.min_cut == (1, 2, 3)  # arc 1 at 0: the cut {1, 2, 3} holds 0 + 2 + 3 = 5
 
 
 def test_benchmark_candidate_accepted_by_flawed_test(fig1):
@@ -56,6 +57,30 @@ def test_saturated_vector_verdicts(fig1):
     rejected = verify(fig1, full, 7)
     assert not rejected.is_dmc
     assert rejected.flow_value == 8
+
+
+def test_min_cut_certifies_the_flow_value_off_the_demand():
+    # Off the demand the verdict names a source-sink cut whose capacity is
+    # W(X); a plain search with its arcs removed must not reach the sink.
+    rng = random.Random(19)
+    certified = 0
+    for _ in range(300):
+        net = random_network(rng)
+        for _ in range(5):
+            state = random_state(rng, net)
+            value = max_flow_value(net, state)
+            assert verify_flawed(max_flow(net, state)).min_cut is None
+            for demand in range(value + 2):
+                verdict = verify(net, state, demand)
+                if verdict.flow_value == demand:
+                    assert verdict.min_cut is None
+                    continue
+                cut = verdict.min_cut
+                assert list(cut) == sorted(set(cut))
+                assert sum(state[a - 1] for a in cut) == verdict.flow_value == value
+                assert net.sink not in reachable_from_source(net, removed=frozenset(cut))
+                certified += 1
+    assert certified > 1_000
 
 
 def test_failing_arc_is_lowest_witness(fig1):
