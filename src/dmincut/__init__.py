@@ -13,8 +13,7 @@ everything against brute-force oracles.
 from .candidates import count_candidates, count_compositions, enumerate_candidates
 from .cuts import MinCut, enumerate_min_cuts, format_cuts, is_min_cut, parse_cuts
 from .errors import DmincutError, NetworkParseError, StateSpaceLimitError, ValidationError
-from .maxflow import FlowState, lifting_arcs, max_flow, residual_tree
-from .maxflow import residual_reachable, zero_flow
+from .maxflow import FlowState, lifting_arcs, max_flow, residual_reachable, residual_tree
 from .network import (
     Arc,
     EdgeDistribution,
@@ -80,5 +79,4 @@ __all__ = [
     "unsaturated_set",
     "verify",
     "verify_flawed",
-    "zero_flow",
 ]

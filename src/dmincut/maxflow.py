@@ -26,8 +26,7 @@ from functools import cached_property
 
 from .network import Network, StateVector
 
-__all__ = ["FlowState", "max_flow", "residual_tree", "residual_reachable", "lifting_arcs",
-           "zero_flow"]
+__all__ = ["FlowState", "max_flow", "residual_tree", "residual_reachable", "lifting_arcs"]
 
 
 @dataclass(frozen=True)
@@ -112,12 +111,6 @@ def max_flow(net: Network, state: StateVector) -> FlowState:
     # The search that missed the sink ran on this very residual.
     fs.__dict__["source_tree"] = entry
     return fs
-
-
-def zero_flow(net: Network, state: StateVector) -> FlowState:
-    """The all-zero flow under ``state`` (value 0)."""
-    net.validate_state(state)
-    return FlowState(net=net, residual=tuple(r for x in state for r in (x, 0)), value=0)
 
 
 def residual_reachable(fs: FlowState) -> bool:

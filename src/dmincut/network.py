@@ -178,13 +178,6 @@ class EdgeDistribution:
             if abs(fsum(pmf) - 1.0) > PMF_SUM_TOLERANCE:
                 raise ValidationError(f"arc {arc.index}: pmf sums to {fsum(pmf)!r}, not 1")
 
-    @classmethod
-    def uniform(cls, net: Network) -> "EdgeDistribution":
-        """Uniform pmf over 0..W(e) for every arc."""
-        dist = cls(tuple(tuple(1.0 / (w + 1) for _ in range(w + 1)) for w in net.max_capacities))
-        dist.validate(net)
-        return dist
-
 
 def _tokenize(text: str):
     """Yield (line_no, tokens) for non-empty, non-comment lines."""

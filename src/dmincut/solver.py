@@ -13,11 +13,10 @@ arcs.  Reusing a flow between candidates while capacities only rise would
 be sound, since the old flow stays feasible; it is not done here.
 
 A max flow below the demand leaves a certificate for the rest of its
-cut's stream: :attr:`~dmincut.verify.Verdict.min_cut`, a source-sink cut
-of capacity W(K) under the candidate K.  Every candidate of a cut gives
-the off-cut arcs their full capacity, so a later candidate Y that gives
-that min cut a capacity below the demand has W(Y) < d; it is counted but
-gets no max flow.
+cut's stream: :attr:`~dmincut.verify.Verdict.min_cut`, a source-sink cut.
+No max flow exceeds the capacity of any source-sink cut, so a later
+candidate Y under which that cut's capacity is below the demand has
+W(Y) < d; it is counted but gets no max flow.
 
 Accepted vectors are merged into a set because distinct cuts can emit the
 same d-MC.  The infeasibility diagnostic costs one more max flow, of the
@@ -102,14 +101,12 @@ def find_all_dmcs(net: Network, demand: int, cuts: list[MinCut]) -> SolveReport:
     found: set[StateVector] = set()
     for cut in cuts:
         generated = 0
-        # (offset, positions): a min cut whose capacity under a candidate of this
-        # cut is offset + sum(vector[p] for p in positions).
-        certificates: list[tuple[int, tuple[int, ...]]] = []
+        # The 0-based positions of each min cut found below the demand in this stream.
+        certificates: list[tuple[int, ...]] = []
         for vector in enumerate_candidates(net, cut, demand):
             generated += 1
             if certificates and any(
-                offset + sum(map(vector.__getitem__, positions)) < demand
-                for offset, positions in certificates
+                sum(map(vector.__getitem__, positions)) < demand for positions in certificates
             ):
                 continue
             verdict = verify(net, vector, demand)
@@ -121,9 +118,7 @@ def find_all_dmcs(net: Network, demand: int, cuts: list[MinCut]) -> SolveReport:
                 else:
                     found.add(vector)
             elif verdict.flow_value < demand:
-                positions = tuple(a - 1 for a in set(cut).intersection(verdict.min_cut))
-                offset = verdict.flow_value - sum(map(vector.__getitem__, positions))
-                certificates.append((offset, positions))
+                certificates.append(tuple(a - 1 for a in verdict.min_cut))
         counters.candidates_total += generated
         counters.candidates_per_cut.append(generated)
 

@@ -14,9 +14,8 @@ the only code that turns failing arcs into a :class:`Verdict`.
 ``verify_flawed`` implements a historically published acceptance test that
 drops the W(X) = d hypothesis and takes plain source-sink reachability in
 the bumped capacity graph as its evidence.  It is kept as a diagnostic
-because it wrongly accepts candidates whose max flow is below the demand;
-``dmincut check-flaw`` surfaces the disagreements.  It accepts when the
-state has a source-sink path; otherwise it is ``classify(fs, 0)`` on the
+because it accepts every state with W(X) > 0, whatever d is;
+``dmincut check-flaw`` surfaces the disagreements.  It reads W(X) off the
 maximum flow in hand, so one max flow of X feeds both tests, and
 check-flaw takes its evidence from that same flow.
 """
@@ -26,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .maxflow import FlowState, lifting_arcs, max_flow, residual_reachable, zero_flow
+# residual_reachable is unused here: the benchmark tracer wraps dmincut.verify.residual_reachable.
+from .maxflow import FlowState, lifting_arcs, max_flow, residual_reachable  # noqa: F401
 from .network import Network, StateVector, unsaturated_set
 
 
@@ -36,8 +36,8 @@ class Verdict:
 
     ``failing_arc`` is the lowest-indexed unsaturated arc whose unit bump
     failed the test, or None; a sound rejection with ``flow_value !=
-    demand`` happened before any arc was examined.  Both tests build their
-    verdict with :func:`classify`; ``flow_value`` is W(X) for both.
+    demand`` happened before any arc was examined.  Every rejection, by
+    either test, comes from :func:`classify`; ``flow_value`` is W(X) for both.
 
     ``min_cut`` is set only on that rejection, and None otherwise: the
     ascending ids of the arcs leaving the nodes the source reaches in the
@@ -80,15 +80,12 @@ def verify(net: Network, state: StateVector, demand: int) -> Verdict:
 def verify_flawed(fs: FlowState) -> Verdict:
     """The unsound published test on the state of the maximum flow ``fs``, for diagnostics.
 
-    Accepts whenever every unsaturated arc's bumped capacity graph has any
-    source-sink path of positive capacities; never consults a demand, so
-    candidates with W(state) below the demand can be (wrongly) accepted.
-    One pass decides every bump: if the state itself has such a path, every
-    bump keeps it; if not, W(state) = 0, and the test is :func:`classify`
-    on ``fs`` at demand 0.  Any maximum flow gives that verdict, because
-    all maximum flows leave the same nodes reachable from the source and
-    the same nodes reaching the sink in the residual.
+    Accepts whenever every unsaturated arc's bumped capacity graph has a
+    source-sink path of positive capacities, and never consults a demand.
+    A state has such a path iff its max flow is positive, and a bump keeps
+    it, so the test accepts iff ``fs.value > 0`` and is otherwise
+    :func:`classify` on ``fs`` at demand 0.
     """
-    if residual_reachable(zero_flow(fs.net, _capacities(fs))):
+    if fs.value > 0:
         return Verdict(is_dmc=True, flow_value=fs.value, failing_arc=None)
     return classify(fs, 0)

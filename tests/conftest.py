@@ -43,3 +43,17 @@ def max_flow_calls(monkeypatch):
         if getattr(module, "max_flow", None) is real:
             monkeypatch.setattr(module, "max_flow", counting)
     return calls
+
+
+@pytest.fixture
+def residual_tree_calls(monkeypatch):
+    """The ``(start, backward)`` of every ``residual_tree`` call the max-flow module makes."""
+    real = maxflow.residual_tree
+    calls = []
+
+    def counting(net, residual, start, backward=0):
+        calls.append((start, backward))
+        return real(net, residual, start, backward)
+
+    monkeypatch.setattr(maxflow, "residual_tree", counting)
+    return calls

@@ -12,7 +12,7 @@ import random
 from collections import deque
 from math import comb, fsum
 
-from dmincut import Arc, EdgeDistribution, Network, ValidationError, state_space_size
+from dmincut import Arc, EdgeDistribution, FlowState, Network, ValidationError, state_space_size
 
 
 def reachable_from_source(net: Network, removed=frozenset(), positive_caps=None):
@@ -102,6 +102,20 @@ def bump(net: Network, state, arc_id: int) -> tuple[int, ...]:
             f"arc {arc_id} already at maximum capacity {net.max_capacities[i]}"
         )
     return state[:i] + (state[i] + 1,) + state[i + 1 :]
+
+
+def zero_flow(net: Network, state) -> FlowState:
+    """The all-zero flow under ``state`` (value 0)."""
+    net.validate_state(state)
+    return FlowState(net=net, residual=tuple(r for x in state for r in (x, 0)), value=0)
+
+
+def uniform_distribution(net: Network) -> EdgeDistribution:
+    """Uniform pmf over 0..W(e) for every arc."""
+    pmfs = tuple(tuple(1.0 / (w + 1) for _ in range(w + 1)) for w in net.max_capacities)
+    dist = EdgeDistribution(pmfs)
+    dist.validate(net)
+    return dist
 
 
 def serialize_network(net: Network, dist: EdgeDistribution | None = None) -> str:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import pytest
 
 from dmincut import (
-    EdgeDistribution,
     audit_complexity,
     count_candidates,
     count_compositions,
@@ -38,7 +37,13 @@ from dmincut import (
 from dmincut.candidates import compositions
 
 from conftest import FIXTURES
-from helpers import bump, count_by_inclusion_exclusion, random_distribution, random_network
+from helpers import (
+    bump,
+    count_by_inclusion_exclusion,
+    random_distribution,
+    random_network,
+    uniform_distribution,
+)
 
 SWEEP_SEED = 8415
 SWEEP_NETWORKS = 200
@@ -196,7 +201,7 @@ def test_acceptance_6_reliability_consistency(fig1):
             assert gap <= 1e-12
             comparisons += 1
 
-    check(fig1, EdgeDistribution.uniform(fig1), dmc_levels(fig1))
+    check(fig1, uniform_distribution(fig1), dmc_levels(fig1))
     for _ in range(50):
         net = random_network(rng, max_nodes=6, max_arcs=5, max_cap=3)
         check(net, random_distribution(rng, net), dmc_levels(net))

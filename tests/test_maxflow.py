@@ -17,9 +17,7 @@ from dmincut import (
     residual_reachable,
     residual_tree,
     unsaturated_set,
-    zero_flow,
 )
-from dmincut import maxflow
 from dmincut.network import parse_network
 
 from helpers import (
@@ -31,6 +29,7 @@ from helpers import (
     random_network,
     random_state,
     residual_distances,
+    zero_flow,
 )
 
 
@@ -296,20 +295,6 @@ def test_min_cut_equality_on_full_box():
     )
     for state in box(net):
         assert max_flow(net, state).value == cut_capacity_minimum(net, state)
-
-
-@pytest.fixture
-def residual_tree_calls(monkeypatch):
-    """The ``(start, backward)`` of every ``residual_tree`` call the max-flow module makes."""
-    real = maxflow.residual_tree
-    calls = []
-
-    def counting(net, residual, start, backward=0):
-        calls.append((start, backward))
-        return real(net, residual, start, backward)
-
-    monkeypatch.setattr(maxflow, "residual_tree", counting)
-    return calls
 
 
 def test_classify_searches_once_at_the_demand_and_never_off_it(fig1, residual_tree_calls):

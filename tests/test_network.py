@@ -15,7 +15,7 @@ from dmincut import (
 )
 from dmincut.network import MAX_NODE_COUNT, MAX_TOTAL_CAPACITY
 
-from helpers import bump, random_network, random_state, serialize_network
+from helpers import bump, random_network, random_state, serialize_network, uniform_distribution
 
 
 def test_parse_fig1(fig1):
@@ -187,7 +187,7 @@ def test_validate_state_accepts_exactly_the_box():
 
 
 def test_distribution_uniform_valid(fig1):
-    dist = EdgeDistribution.uniform(fig1)
+    dist = uniform_distribution(fig1)
     assert len(dist.pmfs) == 6
     assert len(dist.pmfs[0]) == 5
 

@@ -25,6 +25,7 @@ from helpers import (
     random_state,
     union_by_box_sweep,
     union_by_inclusion_exclusion,
+    uniform_distribution,
 )
 
 
@@ -89,7 +90,7 @@ def test_down_set_union_identity():
 
 
 def test_reliability_exhaustive_trivial_cases(fig1):
-    dist = EdgeDistribution.uniform(fig1)
+    dist = uniform_distribution(fig1)
     assert reliability_exhaustive(fig1, dist, 0) == 1.0
     net = parse_network("nodes 2 source 1 sink 2\nedge 1 1 2 1\n")
     single = EdgeDistribution(((0.3, 0.7),))
@@ -97,7 +98,7 @@ def test_reliability_exhaustive_trivial_cases(fig1):
 
 
 def test_reliability_exhaustive_against_monte_carlo(fig1):
-    dist = EdgeDistribution.uniform(fig1)
+    dist = uniform_distribution(fig1)
     exact = reliability_exhaustive(fig1, dist, 4)
     rng = random.Random(602)
     samples = 60_000
@@ -114,14 +115,14 @@ def test_reliability_exhaustive_against_monte_carlo(fig1):
 
 def test_reliability_from_dmcs_single_vector():
     net = parse_network("nodes 2 source 1 sink 2\nedge 1 1 2 3\n")
-    dist = EdgeDistribution.uniform(net)
+    dist = uniform_distribution(net)
     # Pr[X <= 2] with four uniform states is 3/4.
     assert abs(reliability_from_dmcs(net, [(2,)], dist) - 0.75) < 1e-15
 
 
 def test_reliability_from_dmcs_dedups_input():
     net = parse_network("nodes 2 source 1 sink 2\nedge 1 1 2 3\n")
-    dist = EdgeDistribution.uniform(net)
+    dist = uniform_distribution(net)
     once = reliability_from_dmcs(net, [(2,)], dist)
     twice = reliability_from_dmcs(net, [(2,), (2,)], dist)
     assert once == twice
@@ -129,11 +130,11 @@ def test_reliability_from_dmcs_dedups_input():
 
 def test_reliability_from_dmcs_empty_flagged(fig1):
     with pytest.raises(ValidationError, match="empty"):
-        reliability_from_dmcs(fig1, [], EdgeDistribution.uniform(fig1))
+        reliability_from_dmcs(fig1, [], uniform_distribution(fig1))
 
 
 def test_reliability_from_dmcs_guard(fig1, monkeypatch):
-    dist = EdgeDistribution.uniform(fig1)
+    dist = uniform_distribution(fig1)
     level = dmc_levels(fig1)[3]  # 32 vectors: 32^2 comparisons for the first filter alone
     monkeypatch.setattr(oracle, "UNION_WORK_GUARD", 1000)
     with pytest.raises(StateSpaceLimitError, match="UNION_WORK_GUARD"):
@@ -144,7 +145,7 @@ def test_reliability_from_dmcs_guard_refuses_before_filtering():
     # 2,300 pairwise incomparable vectors: 2,300^2 comparisons exceed the guard,
     # so the call refuses at once instead of running the quadratic filter.
     net = parse_network("nodes 2 source 1 sink 2\nedge 1 1 2 3000\nedge 2 1 2 3000\n")
-    dist = EdgeDistribution.uniform(net)
+    dist = uniform_distribution(net)
     vectors = [(i, 2999 - i) for i in range(2300)]
     assert len(vectors) ** 2 > oracle.UNION_WORK_GUARD
     with pytest.raises(StateSpaceLimitError, match="guard"):
@@ -152,7 +153,7 @@ def test_reliability_from_dmcs_guard_refuses_before_filtering():
 
 
 def test_union_complement_identity_fig1(fig1):
-    dist = EdgeDistribution.uniform(fig1)
+    dist = uniform_distribution(fig1)
     levels = dmc_levels(fig1)
     for demand in range(0, 9):
         union = reliability_from_dmcs(fig1, levels[demand], dist)

@@ -168,6 +168,23 @@ def test_flawed_verdict_matches_literal_definition():
     assert rejections > 1000
 
 
+def test_flawed_verdict_searches_only_at_zero_flow(fig1, residual_tree_calls):
+    # A positive max flow accepts without a search; at W(X) = 0 the verdict
+    # is classify(fs, 0), whose backward search is the only one.
+    rng = random.Random(404)
+    nets = [fig1] + [random_network(rng) for _ in range(40)]
+    seen = {True: 0, False: 0}
+    for net in nets:
+        for _ in range(10):
+            state = tuple(rng.randint(0, w) if rng.random() < 0.5 else 0 for w in net.max_capacities)
+            fs = max_flow(net, state)
+            residual_tree_calls.clear()
+            verify_flawed(fs)
+            assert residual_tree_calls == ([] if fs.value > 0 else [(net.sink, 1)]), state
+            seen[fs.value > 0] += 1
+    assert min(seen.values()) > 50
+
+
 def positive_cycles(net, state):
     """Yield every simple directed cycle of arcs with positive capacity in ``state``, as arc ids.
 
