@@ -5,8 +5,10 @@ capacities summing to the demand d (each within its maximum) and every
 off-cut arc its full capacity.  A cut's stream yields these vectors as
 plain tuples, lazily, in ascending lexicographic order of the on-cut
 components.  The stream length is counted apart, by a prefix-sum dynamic
-program over the cut's arcs in O(k*d) for k arcs at demand d; that count is
-the solver's bound on its max-flow calls.
+program over the cut's arcs in O(k*d) for k arcs at demand d; the solver's
+search accounts for exactly that many candidates.  A cut whose counting
+table would need more than ``COMPOSITION_WORK_GUARD`` cells is refused,
+before any table is built or any candidate is streamed.
 """
 
 from __future__ import annotations
@@ -14,8 +16,25 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .cuts import MinCut, refuse_repeated_arcs
-from .errors import ValidationError
+from .errors import StateSpaceLimitError, ValidationError
 from .network import Network, StateVector
+
+COMPOSITION_WORK_GUARD = 10**7
+
+
+def _refuse_huge_table(k: int, total: int, spare: int) -> None:
+    """Raise unless a counting table of k·min(total, spare) cells fits in ``COMPOSITION_WORK_GUARD``.
+
+    That is the table :func:`count_compositions` builds for k arcs at
+    ``total``, with each cap clipped to the total and ``spare`` the clipped
+    caps' sum less the total.
+    """
+    cells = k * min(total, spare)
+    if cells > COMPOSITION_WORK_GUARD:
+        raise StateSpaceLimitError(
+            f"a cut of {k} arcs at demand {total} needs a counting table of {cells} cells,"
+            f" above the guard COMPOSITION_WORK_GUARD={COMPOSITION_WORK_GUARD}"
+        )
 
 
 def compositions(caps: Sequence[int], total: int) -> Iterator[tuple[int, ...]]:
@@ -67,6 +86,7 @@ def count_compositions(caps: Sequence[int], total: int) -> int:
     spare = sum(caps) - total
     if spare < 0:
         return 0
+    _refuse_huge_table(len(caps), total, spare)
     total = min(total, spare)
     ways = [1] + [0] * total
     for cap in caps:
@@ -88,13 +108,15 @@ def enumerate_candidates(net: Network, cut: MinCut, demand: int) -> Iterator[Sta
     consuming lazily lets the solver interleave generation and testing.
     Every on-cut entry is rewritten for each candidate, so one buffer
     serves the whole stream and each candidate is a fresh tuple of it.
-    A negative demand or a repeated arc id is refused at the first read.
+    A negative demand, a repeated arc id or a cut whose count would pass
+    the guard is refused at the first read.
     """
     if demand < 0:
         raise ValidationError(f"demand must be nonnegative, got {demand}")
     refuse_repeated_arcs(cut)
     positions = [arc_id - 1 for arc_id in cut]
     caps = [net.max_capacities[p] for p in positions]
+    _refuse_huge_table(len(caps), demand, sum(min(cap, demand) for cap in caps) - demand)
     vector = list(net.max_capacities)
     for on_cut in compositions(caps, demand):
         for p, value in zip(positions, on_cut):

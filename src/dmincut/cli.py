@@ -81,8 +81,8 @@ def cmd_solve(args) -> int:
             f" total_candidate_bound={report.total_candidate_bound}"
         )
         print(
-            f"# candidates_total={c.candidates_total}"
-            f" residual_searches={c.residual_searches} duplicates_removed={c.duplicates_removed}"
+            f"# candidates_total={c.candidates_total} below_demand={c.below_demand}"
+            f" not_maximal={c.not_maximal} accepted={c.accepted} duplicates_removed={c.duplicates_removed}"
         )
         print(f"# audit_ok={audit_complexity(report)}")
         if report.diagnostic:

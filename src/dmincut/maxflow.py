@@ -7,7 +7,9 @@ units in place".  Max flow augments along shortest residual paths
 (Edmonds-Karp): each path is the one a :func:`residual_tree` search
 entered the sink by, walked back through the entry slots.  Slots are
 traversed in ascending arc-id order, so identical inputs always produce the
-identical flow, not merely the same value.
+identical flow, not merely the same value.  That loop is :func:`augment`:
+:func:`max_flow` runs it from the zero flow, and the solver runs it from a
+flow in hand after raising capacities, which keeps that flow feasible.
 
 Residual bookkeeping is per arc (slot pair), which makes anti-parallel
 arcs work without node-splitting tricks, and a :class:`FlowState` keeps
@@ -22,11 +24,31 @@ search more, not two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from math import inf
 
 from .network import Network, StateVector
 
-__all__ = ["FlowState", "max_flow", "residual_tree", "residual_reachable", "lifting_arcs"]
+__all__ = ["FlowState", "augment", "max_flow", "residual_tree", "residual_reachable", "lifting_arcs"]
+
+
+class _kept:
+    """A computed attribute stored in the instance on first read, like ``functools.cached_property``.
+
+    Before Python 3.12 ``cached_property`` takes a lock on every first
+    read, which costs as much as a small search; the solver reads a new
+    flow's source tree once per leaf.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        instance.__dict__[self.name] = value = self.compute(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -43,7 +65,7 @@ class FlowState:
     residual: tuple[int, ...]
     value: int
 
-    @cached_property
+    @_kept
     def source_tree(self) -> list[int]:
         """``residual_tree(net, residual, net.source)``, searched once and then kept.
 
@@ -83,30 +105,42 @@ def residual_tree(net: Network, residual, start: int, backward: int = 0) -> list
     return entry
 
 
-def max_flow(net: Network, state: StateVector) -> FlowState:
-    """Send as much flow as possible from source to sink under ``state``."""
-    net.validate_state(state)
+def augment(net: Network, residual: list[int], limit=inf) -> tuple[int, list[int] | None]:
+    """Push flow along shortest residual paths, in place, until ``limit`` units or no path.
+
+    Each path is the one a :func:`residual_tree` search entered the sink
+    by, walked back through the entry slots.  Returns the units sent and,
+    when the loop stopped because a search missed the sink, that search's
+    entries; stopping at ``limit`` runs no further search and returns None.
+    """
     source, sink = net.source, net.sink
     to = net.slot_heads
-    residual = [0] * (2 * net.arc_count)
-    residual[::2] = state
-
     total = 0
-    while True:
+    while total < limit:
         entry = residual_tree(net, residual, source)
         if entry[sink] < 0:
-            break
+            return total, entry
         path: list[int] = []
         v = sink
         while v != source:
             path.append(entry[v])
             v = to[entry[v] ^ 1]
         sent = min(residual[slot] for slot in path)
+        if sent > limit - total:
+            sent = limit - total
         for slot in path:
             residual[slot] -= sent
             residual[slot ^ 1] += sent
         total += sent
+    return total, None
 
+
+def max_flow(net: Network, state: StateVector) -> FlowState:
+    """Send as much flow as possible from source to sink under ``state``."""
+    net.validate_state(state)
+    residual = [0] * (2 * net.arc_count)
+    residual[::2] = state
+    total, entry = augment(net, residual)
     fs = FlowState(net=net, residual=tuple(residual), value=total)
     # The search that missed the sink ran on this very residual.
     fs.__dict__["source_tree"] = entry

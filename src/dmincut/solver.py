@@ -6,26 +6,46 @@ Cuts that :func:`~dmincut.cuts.enumerate_min_cuts` or
 :func:`~dmincut.cuts.parse_cuts` produced on the same network object are
 already in its record of proven cuts, and that check then runs no search.
 
-For each minimal cut the candidate stream is generated lazily; every
-candidate gets at most one max-flow computation, from the zero flow,
-and, when that flow meets the demand, one residual classification of its
-arcs.  Reusing a flow between candidates while capacities only rise would
-be sound, since the old flow stays feasible; it is not done here.
+The candidates of a minimal cut C are searched as a tree: arc i of C at
+depth i, values ascending.  A node's partial state has C's assigned arcs
+at their values, C's other arcs at 0 and every other arc full; it carries
+a maximum flow of that state in a residual of its own, warm-started from
+its parent's, and kept only while the flow equals the assigned sum (the
+capacity of C under the partial state).  A step from value v to v+1 adds
+one unit of room and runs one augmentation of :func:`~dmincut.maxflow.augment`.
+Two prunes are sound:
 
-A max flow below the demand leaves a certificate for the rest of its
-cut's stream: :attr:`~dmincut.verify.Verdict.min_cut`, a source-sink cut.
-No max flow exceeds the capacity of any source-sink cut, so a later
-candidate Y under which that cut's capacity is below the demand has
-W(Y) < d; it is counted but gets no max flow.
+* W < d.  A leaf X with W(X) = d has a flow of value d that saturates C
+  and sends nothing back across it, so each of its paths crosses C once;
+  the paths through C's first arcs are a flow of their assigned sum in the
+  partial state.  A node whose flow falls short of that sum therefore has
+  no leaf with W = d below it, and neither has any larger value at its
+  depth, since a unit raises a max flow by at most one.
+* Ancestor lifting.  If a unit on an assigned arc j with x_j below its
+  maximum lifts W(X) at a leaf X with W(X) = d, a flow of value d + 1
+  saturates C under X + e_j, and its paths through C's first arcs lift the
+  partial flow at every ancestor of X.  So when the step v to v+1 fails,
+  arc i at v does not lift, and no leaf below the child at v is a d-MC
+  either.  This costs no search beyond the failed step.
+
+A pruned subtree's leaves are counted with
+:func:`~dmincut.candidates.count_compositions` over its free arcs, and
+where the rest of the cut is forced (nothing left to assign, or exactly
+what the free arcs hold) the walk goes straight to the leaf.  A leaf's
+flow has value d, which is maximal because C's capacity under the leaf is
+d, so :func:`~dmincut.verify.verify` classifies it on that flow and no
+leaf gets a max flow of its own.  Depths are kept on an explicit stack, so
+a cut of any width is fine.
 
 Accepted vectors are merged into a set because distinct cuts can emit the
-same d-MC.  The infeasibility diagnostic costs one more max flow, of the
+same d-MC.  The infeasibility diagnostic costs one max flow, of the
 saturated state, and runs only when no d-MC was found: a d-MC X has
 W(X) = d, and the saturated max flow is at least W(X), so any d-MC already
 proves the demand feasible.
 
-The counters exist so the candidate count can be audited: the candidates
-streamed must equal the corrected Theorem 6 count summed over the cuts.
+The counters partition the candidates: each is below the demand, not
+maximal, accepted or a duplicate, by the reason the search itself used,
+and they must add up to the corrected Theorem 6 count summed over the cuts.
 """
 
 from __future__ import annotations
@@ -33,10 +53,11 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-from .candidates import count_candidates, enumerate_candidates
+# enumerate_candidates is unused here: the benchmark tracer wraps dmincut.solver.enumerate_candidates.
+from .candidates import count_candidates, count_compositions, enumerate_candidates  # noqa: F401
 from .cuts import MinCut, is_min_cut
 from .errors import ValidationError
-from .maxflow import max_flow
+from .maxflow import FlowState, augment, max_flow
 from .network import Network, StateVector
 from .verify import verify
 
@@ -45,7 +66,9 @@ from .verify import verify
 class OperationCounters:
     candidates_total: int = 0
     candidates_per_cut: list[int] = field(default_factory=list)
-    residual_searches: int = 0
+    below_demand: int = 0
+    not_maximal: int = 0
+    accepted: int = 0
     duplicates_removed: int = 0
 
     def to_dict(self) -> dict:
@@ -82,6 +105,79 @@ def infeasibility(net: Network, demand: int) -> str | None:
     return None
 
 
+def _search_cut(
+    net: Network, cut: MinCut, demand: int, counters: OperationCounters, found: set[StateVector]
+) -> int:
+    """Walk the candidate tree of ``cut``; return how many candidates it accounted for.
+
+    A stack frame ``(i, v, residual, rest)`` is the node with arc i of the
+    cut at v, ``rest`` units of the demand still to assign, and in
+    ``residual`` a flow of value ``demand - rest``, owned by the frame.
+    Depth -1 is the root, where nothing is assigned yet.
+    """
+    positions = [arc_id - 1 for arc_id in cut]
+    caps = [net.max_capacities[p] for p in positions]
+    suffix = [0] * (len(caps) + 1)
+    for i in range(len(caps) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + caps[i]
+    if demand > suffix[0]:
+        return 0
+    vector = list(net.max_capacities)
+    root = [0] * (2 * net.arc_count)
+    root[::2] = vector
+    for p in positions:
+        root[2 * p] = 0
+    below = pruned = leaves = 0
+    stack = [(-1, 0, root, demand)]
+    while stack:
+        i, v, residual, rest = stack.pop()
+        if i >= 0:
+            vector[positions[i]] = v
+            if rest and v < caps[i]:
+                step = residual.copy()
+                step[2 * positions[i]] += 1
+                if augment(net, step, 1)[0]:
+                    stack.append((i, v + 1, step, rest - 1))
+                else:
+                    # Arc i at v does not lift: the child at v has no d-MC, and v+1.. are below d.
+                    pruned += count_compositions(caps[i + 1 :], rest)
+                    below += count_compositions([caps[i] - v - 1, *caps[i + 1 :]], rest - 1)
+                    continue
+        j = i + 1
+        if rest == 0:
+            for p in positions[j:]:
+                vector[p] = 0
+        elif rest == suffix[j]:
+            for p, cap in zip(positions[j:], caps[j:]):
+                vector[p] = residual[2 * p] = cap
+            if augment(net, residual, rest)[0] < rest:
+                below += 1
+                continue
+        else:
+            low = max(0, rest - suffix[j + 1])
+            if low:
+                residual[2 * positions[j]] = low
+                if augment(net, residual, low)[0] < low:
+                    below += count_compositions(caps[j:], rest)
+                    continue
+            stack.append((j, low, residual, rest - low))
+            continue
+        # A leaf: its flow has value demand, the cut's capacity under it, so it is maximal.
+        leaves += 1
+        state = tuple(vector)
+        flow = FlowState(net=net, residual=tuple(residual), value=demand)
+        if not verify(net, state, demand, flow).is_dmc:
+            counters.not_maximal += 1
+        elif state in found:
+            counters.duplicates_removed += 1
+        else:
+            found.add(state)
+            counters.accepted += 1
+    counters.below_demand += below
+    counters.not_maximal += pruned
+    return below + pruned + leaves
+
+
 def find_all_dmcs(net: Network, demand: int, cuts: list[MinCut]) -> SolveReport:
     """Enumerate every d-MC of ``net`` at level ``demand`` from the given cut list.
 
@@ -97,32 +193,15 @@ def find_all_dmcs(net: Network, demand: int, cuts: list[MinCut]) -> SolveReport:
         if not is_min_cut(net, cut):
             raise ValidationError(f"{tuple(cut)} is not a minimal cut of this network")
 
+    # Counting runs first, so a cut past the counting guard is refused before any search.
+    per_cut_bounds = [count_candidates(net, cut, demand) for cut in cuts]
     counters = OperationCounters()
     found: set[StateVector] = set()
     for cut in cuts:
-        generated = 0
-        # The 0-based positions of each min cut found below the demand in this stream.
-        certificates: list[tuple[int, ...]] = []
-        for vector in enumerate_candidates(net, cut, demand):
-            generated += 1
-            if certificates and any(
-                sum(map(vector.__getitem__, positions)) < demand for positions in certificates
-            ):
-                continue
-            verdict = verify(net, vector, demand)
-            if verdict.flow_value == demand:
-                counters.residual_searches += 1
-            if verdict.is_dmc:
-                if vector in found:
-                    counters.duplicates_removed += 1
-                else:
-                    found.add(vector)
-            elif verdict.flow_value < demand:
-                certificates.append(tuple(a - 1 for a in verdict.min_cut))
-        counters.candidates_total += generated
-        counters.candidates_per_cut.append(generated)
+        searched = _search_cut(net, cut, demand, counters, found)
+        counters.candidates_total += searched
+        counters.candidates_per_cut.append(searched)
 
-    per_cut_bounds = [count_candidates(net, cut, demand) for cut in cuts]
     diagnostic = None if found else infeasibility(net, demand)
     return SolveReport(
         demand=demand,
@@ -138,9 +217,12 @@ def find_all_dmcs(net: Network, demand: int, cuts: list[MinCut]) -> SolveReport:
 
 
 def audit_complexity(report: SolveReport) -> bool:
-    """True iff the candidates streamed equal the summed per-cut candidate counts.
+    """True iff the counters partition exactly the summed per-cut candidate counts.
 
     The bound is the corrected Theorem 6 count of each cut, so the identity
-    says the solver examined exactly the candidates that count promises.
+    says the solver accounted for exactly the candidates that count
+    promises, each under one reason.
     """
-    return report.counters.candidates_total == report.total_candidate_bound
+    c = report.counters
+    classified = c.below_demand + c.not_maximal + c.accepted + c.duplicates_removed
+    return classified == c.candidates_total == report.total_candidate_bound

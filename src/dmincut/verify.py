@@ -9,7 +9,8 @@ reaches the sink in the residual graph, so one forward and one backward
 search classify every unsaturated arc at once instead of a fresh max-flow
 computation per arc.  It reads the capacity state off the flow, and it is
 the only code that turns failing arcs into a :class:`Verdict`.
-``verify`` is ``classify`` on ``max_flow(net, X)``.
+``verify`` is ``classify`` on ``max_flow(net, X)``, or on a maximum flow of
+X that the caller already holds, which it checks before use.
 
 ``verify_flawed`` implements a historically published acceptance test that
 drops the W(X) = d hypothesis and takes plain source-sink reachability in
@@ -25,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-# residual_reachable is unused here: the benchmark tracer wraps dmincut.verify.residual_reachable.
-from .maxflow import FlowState, lifting_arcs, max_flow, residual_reachable  # noqa: F401
+from .errors import ValidationError
+from .maxflow import FlowState, lifting_arcs, max_flow, residual_reachable
 from .network import Network, StateVector, unsaturated_set
 
 
@@ -38,22 +39,24 @@ class Verdict:
     failed the test, or None; a sound rejection with ``flow_value !=
     demand`` happened before any arc was examined.  Every rejection, by
     either test, comes from :func:`classify`; ``flow_value`` is W(X) for both.
-
-    ``min_cut`` is set only on that rejection, and None otherwise: the
-    ascending ids of the arcs leaving the nodes the source reaches in the
-    max flow's residual, a source-sink cut whose capacities under X sum to
-    ``flow_value``.  No state has a max flow above its total over them.
     """
 
     is_dmc: bool
     flow_value: int
     failing_arc: int | None
-    min_cut: tuple[int, ...] | None = None
 
 
 def _capacities(fs: FlowState) -> StateVector:
     """The capacity state ``fs`` flows under: room plus flow on each arc."""
     return tuple(map(add, fs.residual[::2], fs.residual[1::2]))
+
+
+def _verdict(fs: FlowState, state: StateVector, demand: int) -> Verdict:
+    """:func:`classify` of the maximum flow ``fs``, whose capacity state is ``state``."""
+    if fs.value != demand:
+        return Verdict(is_dmc=False, flow_value=fs.value, failing_arc=None)
+    failing = unsaturated_set(fs.net, state) - lifting_arcs(fs)
+    return Verdict(is_dmc=not failing, flow_value=fs.value, failing_arc=min(failing, default=None))
 
 
 def classify(fs: FlowState, demand: int) -> Verdict:
@@ -62,19 +65,25 @@ def classify(fs: FlowState, demand: int) -> Verdict:
     Sound test.  The reported witness is the lowest-id unsaturated arc
     whose unit bump does not lift the flow, so it is deterministic.
     """
-    if fs.value != demand:
-        reached = fs.source_tree
-        min_cut = tuple(
-            a.index for a in fs.net.arcs if reached[a.tail] >= 0 and reached[a.head] < 0
-        )
-        return Verdict(is_dmc=False, flow_value=fs.value, failing_arc=None, min_cut=min_cut)
-    failing = unsaturated_set(fs.net, _capacities(fs)) - lifting_arcs(fs)
-    return Verdict(is_dmc=not failing, flow_value=fs.value, failing_arc=min(failing, default=None))
+    return _verdict(fs, _capacities(fs), demand)
 
 
-def verify(net: Network, state: StateVector, demand: int) -> Verdict:
-    """Classify ``state`` as d-MC or not at level ``demand`` (sound test)."""
-    return classify(max_flow(net, state), demand)
+def verify(net: Network, state: StateVector, demand: int, flow: FlowState | None = None) -> Verdict:
+    """Classify ``state`` as d-MC or not at level ``demand`` (sound test).
+
+    Without ``flow`` the maximum flow of ``state`` is computed here.  A
+    given ``flow`` is used instead, and refused unless it runs on ``net``
+    (the same object), under exactly the capacities ``state``, and is
+    maximal: its residual no longer reaches the sink.
+    """
+    if flow is None:
+        return _verdict(max_flow(net, state), state, demand)
+    net.validate_state(state)
+    if flow.net is not net or _capacities(flow) != tuple(state):
+        raise ValidationError("the flow given to verify does not run on this network under this state")
+    if residual_reachable(flow):
+        raise ValidationError("the flow given to verify is not maximal: its residual reaches the sink")
+    return _verdict(flow, state, demand)
 
 
 def verify_flawed(fs: FlowState) -> Verdict:

@@ -46,6 +46,21 @@ def max_flow_calls(monkeypatch):
 
 
 @pytest.fixture
+def verify_calls(monkeypatch):
+    """The states the solver passes to ``verify``, one per leaf of its candidate search."""
+    solver = importlib.import_module("dmincut.solver")
+    real = solver.verify
+    calls = []
+
+    def recording(net, state, demand, flow=None):
+        calls.append(state)
+        return real(net, state, demand, flow)
+
+    monkeypatch.setattr(solver, "verify", recording)
+    return calls
+
+
+@pytest.fixture
 def residual_tree_calls(monkeypatch):
     """The ``(start, backward)`` of every ``residual_tree`` call the max-flow module makes."""
     real = maxflow.residual_tree

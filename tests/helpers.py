@@ -12,7 +12,16 @@ import random
 from collections import deque
 from math import comb, fsum
 
-from dmincut import Arc, EdgeDistribution, FlowState, Network, ValidationError, state_space_size
+from dmincut import (
+    Arc,
+    EdgeDistribution,
+    FlowState,
+    Network,
+    ValidationError,
+    enumerate_candidates,
+    state_space_size,
+    verify,
+)
 
 
 def reachable_from_source(net: Network, removed=frozenset(), positive_caps=None):
@@ -300,3 +309,21 @@ def count_by_inclusion_exclusion(caps, total: int) -> int:
     for cap in caps:
         groups += [(reduced - cap - 1, size + 1) for reduced, size in groups if reduced > cap]
     return sum((-1) ** size * comb(reduced + k - 1, k - 1) for reduced, size in groups)
+
+
+def reference_dmcs(net: Network, demand: int, cuts) -> tuple[tuple, int]:
+    """The per-candidate loop the solver's search replaced: ``verify`` on every candidate of every cut.
+
+    Returns the sorted d-MCs and how many accepted candidates repeated one
+    already found.
+    """
+    found = set()
+    duplicates = 0
+    for cut in cuts:
+        for cand in enumerate_candidates(net, cut, demand):
+            if verify(net, cand, demand).is_dmc:
+                if cand in found:
+                    duplicates += 1
+                else:
+                    found.add(cand)
+    return tuple(sorted(found)), duplicates

@@ -161,8 +161,15 @@ def test_acceptance_4_operation_count_audit(sweep):
         net = record.net
         for demand, report in record.reports.items():
             bound = sum(count_candidates(net, cut, demand) for cut in record.cuts)
-            assert report.counters.candidates_total == bound
-            assert report.counters.residual_searches <= net.arc_count * report.counters.candidates_total
+            c = report.counters
+            assert c.candidates_total == bound
+            # The four classes partition the candidates, and the oracle agrees on each side.
+            assert c.below_demand + c.not_maximal + c.accepted + c.duplicates_removed == bound
+            streamed = [cand for cut in record.cuts for cand in enumerate_candidates(net, cut, demand)]
+            dmcs = set(record.levels.get(demand, ()))
+            assert c.accepted == len(report.dmcs)
+            assert c.accepted + c.duplicates_removed == sum(cand in dmcs for cand in streamed)
+            assert c.below_demand <= sum(record.table[cand] < demand for cand in streamed)
             assert audit_complexity(report)
             audited += 1
     print(f"\nACCEPTANCE 4 ({audited} solver runs audited): PASS")

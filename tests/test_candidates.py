@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from dmincut import ValidationError, count_candidates, count_compositions, enumerate_candidates
+from dmincut import (
+    StateSpaceLimitError,
+    ValidationError,
+    count_candidates,
+    count_compositions,
+    enumerate_candidates,
+)
+from dmincut import candidates
 from dmincut.candidates import compositions
 
 from helpers import count_by_inclusion_exclusion
@@ -126,6 +133,22 @@ def test_count_table_stays_short_for_huge_capacities():
     assert count_compositions((10**12, 1, 1), 5 * 10**11) == 4
     assert count_compositions((10**12, 3), 10**12 + 2) == 2
     assert count_compositions((10**12, 10**12), 3 * 10**12) == 0
+
+
+def test_counting_guard_charges_the_table(fig1, monkeypatch):
+    # The table has k·min(total, spare) cells, with each cap clipped to the total.
+    monkeypatch.setattr(candidates, "COMPOSITION_WORK_GUARD", 10)
+    assert count_compositions((10, 10), 5) == 6  # 2 x min(5, 5) = 10 cells
+    assert count_compositions((10**12, 1, 1), 5 * 10**11) == 4  # 3 x min(5·10^11, 2)
+    with pytest.raises(StateSpaceLimitError, match="COMPOSITION_WORK_GUARD=10"):
+        count_compositions((10, 10), 6)  # 2 x 6 cells
+    # Streams and counts of a cut refuse alike, before the first candidate.
+    monkeypatch.setattr(candidates, "COMPOSITION_WORK_GUARD", 3)
+    with pytest.raises(StateSpaceLimitError):
+        count_candidates(fig1, (1, 3, 4, 6), 7)
+    stream = enumerate_candidates(fig1, (1, 3, 4, 6), 7)
+    with pytest.raises(StateSpaceLimitError):
+        next(stream)
 
 
 def test_counts_partition_the_box():

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from dmincut import (
@@ -348,6 +349,21 @@ def test_commands_run_on_a_cut_of_1000_parallel_arcs(capsys, tmp_path):
     dmcs = [line for line in out.splitlines() if line.startswith("(")]
     assert dmcs == ["(" + ",".join("1" if a == i else "0" for a in range(m)) + ")" for i in reversed(range(m))]
     assert run(capsys, "check-flaw", str(net), "--demand", "1") == (0, "disagreements: 0\n", "")
+
+
+def test_huge_candidate_streams_are_refused(capsys, tmp_path):
+    # Two parallel arcs of 10^12 at demand 10^12: 10^12 + 1 candidates, whose
+    # counting table alone would hold 10^12 + 1 entries.  Both commands refuse
+    # before counting or streaming any of them.
+    net = tmp_path / "huge.net"
+    net.write_text(f"nodes 2 source 1 sink 2\nedge 1 1 2 {10**12}\nedge 2 1 2 {10**12}\n")
+    for command in ("solve", "check-flaw"):
+        started = time.perf_counter()
+        code, out, err = run(capsys, command, str(net), "--demand", str(10**12))
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (4, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "COMPOSITION_WORK_GUARD" in err
 
 
 def test_node_count_above_guard_exits_2(capsys, tmp_path):

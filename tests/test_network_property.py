@@ -13,6 +13,7 @@ from dmincut import (  # noqa: E402
     Network,
     ValidationError,
     dmc_levels,
+    enumerate_candidates,
     enumerate_min_cuts,
     find_all_dmcs,
     lifting_arcs,
@@ -24,8 +25,10 @@ from dmincut import (  # noqa: E402
 
 from helpers import (  # noqa: E402
     assert_feasible,
+    bump,
     min_cuts_by_subsets,
     reachable_from_source,
+    reference_dmcs,
     serialize_network,
 )
 
@@ -89,6 +92,40 @@ def test_solver_equals_oracle_at_every_level(net):
         report = find_all_dmcs(net, d, cuts)
         assert report.dmcs == levels.get(d, ()), d
         assert report.infeasible_demand == (d > top)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(networks(max_arcs=7, max_cap=3))
+def test_search_equals_the_reference_loop(net):
+    assume(net.sink in reachable_from_source(net))
+    cuts = enumerate_min_cuts(net)
+    for d in range(max_flow_value(net, net.max_capacities) + 2):
+        report = find_all_dmcs(net, d, cuts)
+        assert (report.dmcs, report.counters.duplicates_removed) == reference_dmcs(net, d, cuts), d
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(networks(max_arcs=7, max_cap=3))
+def test_lifting_at_a_dmc_lifts_at_every_ancestor(net):
+    # The search's two prunes, checked on the oracle's max flow.  An ancestor
+    # at depth i of a cut's candidate X keeps X on the cut's first i + 1
+    # arcs and puts the cut's other arcs at 0.  At a d-MC its max flow is
+    # the assigned sum, and every assigned arc below its maximum (each one
+    # lifts W(X)) lifts it by one.
+    assume(net.sink in reachable_from_source(net))
+    for d, dmcs in dmc_levels(net).items():
+        for cut in enumerate_min_cuts(net):
+            for leaf in set(enumerate_candidates(net, cut, d)) & set(dmcs):
+                for i in range(len(cut)):
+                    ancestor = list(leaf)
+                    for arc_id in cut[i + 1 :]:
+                        ancestor[arc_id - 1] = 0
+                    ancestor = tuple(ancestor)
+                    assigned = sum(leaf[arc_id - 1] for arc_id in cut[: i + 1])
+                    assert max_flow_value(net, ancestor) == assigned
+                    for arc_id in cut[: i + 1]:
+                        if leaf[arc_id - 1] < net.max_capacities[arc_id - 1]:
+                            assert max_flow_value(net, bump(net, ancestor, arc_id)) == assigned + 1
 
 
 @st.composite

@@ -18,13 +18,14 @@ from dmincut import (
     format_cuts,
     oracle,
     parse_cuts,
+    unsaturated_set,
     verify,
 )
 from dmincut import cuts as cuts_module
 from dmincut.network import parse_network
 
 from conftest import REPO_ROOT
-from helpers import grid_network, random_network
+from helpers import bump, grid_network, random_network, reference_dmcs
 
 
 def test_fig1_demand7_excludes_benchmark_candidate(fig1):
@@ -92,73 +93,97 @@ def test_partial_cut_list_yields_subset(fig1):
     assert set(partial.dmcs) <= set(full.dmcs)
 
 
-def skipped_candidates(net, cut_list, demand, report, calls):
-    """The candidates ``find_all_dmcs`` ran no max flow on, given the states it did.
+def unverified_candidates(net, cut_list, demand, report, verified):
+    """The candidates ``find_all_dmcs`` gave no verdict, given the states it passed to ``verify``.
 
-    The calls must be the cuts' candidate streams in order with some
-    candidates left out, then the saturated state when no d-MC was found.
+    The verified states must be the cuts' candidate streams in order with
+    some candidates left out, since the search visits each cut's leaves in
+    stream order.  Each unverified candidate must be no d-MC by the
+    oracle, and the counters must account for them: all of
+    ``below_demand``, each with W < d, and the part of ``not_maximal``
+    that no leaf verdict rejected.
     """
-    calls = list(calls)
-    if not report.dmcs:
-        assert calls.pop() == net.max_capacities
-    flowed = iter(calls)
-    expected = next(flowed, None)
-    skipped = []
+    leaves = iter(verified)
+    expected = next(leaves, None)
+    unverified = []
     for cut in cut_list:
         for cand in enumerate_candidates(net, cut, demand):
             if cand == expected:
-                expected = next(flowed, None)
+                expected = next(leaves, None)
             else:
-                skipped.append(cand)
+                unverified.append(cand)
     assert expected is None, f"{expected} is no candidate left in the streams"
-    return skipped
+    c = report.counters
+    rejected_leaves = len(verified) - c.accepted - c.duplicates_removed
+    assert len(unverified) == c.below_demand + c.not_maximal - rejected_leaves
+    values = [oracle.max_flow_value(net, cand) for cand in unverified]
+    assert sum(value < demand for value in values) >= c.below_demand
+    for cand, value in zip(unverified, values):
+        assert value != demand or any(
+            oracle.max_flow_value(net, bump(net, cand, arc_id)) == demand
+            for arc_id in unsaturated_set(net, cand)
+        ), f"{cand} is a {demand}-MC"
+    return unverified
 
 
-def test_solve_max_flows_every_candidate_no_certificate_skips(fig1, max_flow_calls):
-    # A candidate is skipped only when a min cut from an earlier max flow of
-    # its cut's stream proves W < d.  A d-MC proves the demand feasible, so
-    # the saturated max flow of the infeasibility diagnostic runs only when
-    # none was found.
+def test_solve_verifies_only_search_leaves_on_fig1(fig1, verify_calls, max_flow_calls):
+    # The search passes each surviving leaf to verify with the flow it
+    # carries, so no candidate gets a max flow.  A d-MC proves the demand
+    # feasible, so the saturated max flow of the infeasibility diagnostic
+    # runs only when none was found.
     cuts = enumerate_min_cuts(fig1)
     counts = []
     for demand, cut_list, found in [(d, cuts, True) for d in range(9)] + [
         (9, cuts, False), (12, cuts, False), (8, [(1, 2, 3)], False),
     ]:
+        verify_calls.clear()
         max_flow_calls.clear()
         report = find_all_dmcs(fig1, demand, cut_list)
         assert bool(report.dmcs) is found
-        for cand in skipped_candidates(fig1, cut_list, demand, report, max_flow_calls):
-            assert oracle.max_flow_value(fig1, cand) < demand
-        counts.append(len(max_flow_calls))
+        unverified_candidates(fig1, cut_list, demand, report, verify_calls)
+        assert max_flow_calls == ([] if found else [fig1.max_capacities])
+        counts.append(len(verify_calls))
         assert report.infeasible_demand is (demand > 8)
-    # d = 0..9 (the 5 at d = 9 includes the saturated max flow), then d = 12
-    # (no candidate) and the lone cut {1, 2, 3} at d = 8.
-    assert counts == [4, 13, 27, 43, 50, 45, 31, 17, 8, 5, 1, 3]
+    # d = 0..9, then d = 12 (no candidate) and the lone cut {1, 2, 3} at d = 8.
+    assert counts == [4, 13, 27, 41, 42, 35, 21, 9, 2, 0, 0, 0]
 
 
-def test_solve_max_flow_count_on_the_grid_at_demand_2(max_flow_calls):
+def test_grid_search_matches_the_reference_with_pinned_leaves(max_flow_calls, verify_calls):
     # The seed-1 4x4 benchmark grid with its stored list of all 1,160 cuts.
     rng = random.Random("grid-4x4:1")
     net = grid_network(4, 4, [rng.randint(1, 3) for _ in range(32)])
     cuts = parse_cuts((REPO_ROOT / "perfbench" / "data" / "grid-4x4.cuts").read_text(), net)
-    report = find_all_dmcs(net, 2, cuts)
-    assert (report.counters.candidates_total, len(report.dmcs)) == (37_475, 2_877)
-    assert len(max_flow_calls) == 28_979
+    pinned = {
+        2: (37_475, 2_877, 14_952, (4_905, 29_521, 2_877, 172)),
+        3: (113_053, 950, 10_204, (29_500, 82_507, 950, 96)),
+    }
+    for demand in range(4):
+        verify_calls.clear()
+        max_flow_calls.clear()
+        report = find_all_dmcs(net, demand, cuts)
+        assert max_flow_calls == []
+        c = report.counters
+        if demand in pinned:
+            candidates, dmcs, leaves, partition = pinned[demand]
+            assert (c.candidates_total, len(report.dmcs), len(verify_calls)) == (candidates, dmcs, leaves)
+            assert (c.below_demand, c.not_maximal, c.accepted, c.duplicates_removed) == partition
+        assert (report.dmcs, c.duplicates_removed) == reference_dmcs(net, demand, cuts)
 
 
-def test_skipped_candidates_are_below_demand_on_the_acceptance_sweep(max_flow_calls):
+def test_sweep_search_matches_the_reference_and_leaves_no_dmc_unverified(verify_calls):
     rng = random.Random(8415)  # the acceptance sweep's 200 networks, drawn alike
-    skipped = 0
+    unverified = below = 0
     for _ in range(200):
         net = random_network(rng, max_nodes=6, max_arcs=8, max_cap=3)
         cuts = enumerate_min_cuts(net)
         for demand in range(oracle.max_flow_value(net, net.max_capacities) + 2):
-            max_flow_calls.clear()
+            verify_calls.clear()
             report = find_all_dmcs(net, demand, cuts)
-            for cand in skipped_candidates(net, cuts, demand, report, max_flow_calls):
-                assert oracle.max_flow_value(net, cand) < demand
-                skipped += 1
-    assert skipped > 300  # 343 when this was written: the property is exercised
+            unverified += len(unverified_candidates(net, cuts, demand, report, verify_calls))
+            below += report.counters.below_demand
+            assert (report.dmcs, report.counters.duplicates_removed) == reference_dmcs(net, demand, cuts)
+    # Both prunes are exercised: 828 and 606 when this was written.
+    assert unverified > 800 and below > 600
 
 
 def test_counters_account_every_candidate(fig1):
@@ -169,12 +194,13 @@ def test_counters_account_every_candidate(fig1):
     assert c.candidates_per_cut == [count_candidates(fig1, cut, 7) for cut in cuts]
     assert c.candidates_total == report.total_candidate_bound
     assert report.max_candidates_per_cut == max(c.candidates_per_cut)
-    # One residual search per candidate, duplicates included, whose max flow meets the demand.
-    assert c.residual_searches == sum(
-        oracle.max_flow_value(fig1, cand) == 7
-        for cut in cuts
-        for cand in enumerate_candidates(fig1, cut, 7)
-    )
+    # Each candidate is in one class, by the reason the search used.
+    verdicts = [verify(fig1, cand, 7) for cut in cuts for cand in enumerate_candidates(fig1, cut, 7)]
+    assert c.accepted == len(report.dmcs)
+    assert c.accepted + c.duplicates_removed == sum(v.is_dmc for v in verdicts)
+    assert c.below_demand + c.not_maximal == sum(not v.is_dmc for v in verdicts)
+    assert c.below_demand <= sum(v.flow_value < 7 for v in verdicts)
+    assert (c.below_demand, c.not_maximal, c.accepted, c.duplicates_removed) == (20, 13, 5, 0)
 
 
 def test_dedup_bookkeeping_explicit_duplicate():
@@ -248,7 +274,8 @@ def test_report_schema_is_pinned(fig1):
         "dmcs", "counters", "infeasible_demand", "diagnostic",
     ]
     assert list(fields["counters"]) == [
-        "candidates_total", "candidates_per_cut", "residual_searches", "duplicates_removed",
+        "candidates_total", "candidates_per_cut", "below_demand", "not_maximal", "accepted",
+        "duplicates_removed",
     ]
     data = json.loads(report.to_json())
     assert list(data) == sorted(fields)

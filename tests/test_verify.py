@@ -14,9 +14,19 @@ from dmincut import (
     verify,
     verify_flawed,
 )
+from dmincut.maxflow import augment
 from dmincut.network import parse_network
 
-from helpers import assert_feasible, box, bump, random_network, random_state, reachable_from_source
+from helpers import (
+    assert_feasible,
+    box,
+    bump,
+    random_network,
+    random_state,
+    reachable_from_source,
+    serialize_network,
+    zero_flow,
+)
 
 
 def test_benchmark_candidate_rejected_by_sound_test(fig1):
@@ -24,7 +34,6 @@ def test_benchmark_candidate_rejected_by_sound_test(fig1):
     assert not verdict.is_dmc
     assert verdict.flow_value == 5
     assert verdict.failing_arc is None  # rejected on the flow clause, before any arc
-    assert verdict.min_cut == (1, 2, 3)  # arc 1 at 0: the cut {1, 2, 3} holds 0 + 2 + 3 = 5
 
 
 def test_benchmark_candidate_accepted_by_flawed_test(fig1):
@@ -59,28 +68,46 @@ def test_saturated_vector_verdicts(fig1):
     assert rejected.flow_value == 8
 
 
-def test_min_cut_certifies_the_flow_value_off_the_demand():
-    # Off the demand the verdict names a source-sink cut whose capacity is
-    # W(X); a plain search with its arcs removed must not reach the sink.
+def test_verify_on_a_flow_in_hand_equals_verify_from_scratch():
+    # A maximum flow reached from a smaller state's flow, as the solver's
+    # search reaches it, gives the verdict of a max flow from zero.
     rng = random.Random(19)
-    certified = 0
+    checked = 0
     for _ in range(300):
         net = random_network(rng)
         for _ in range(5):
             state = random_state(rng, net)
-            value = max_flow_value(net, state)
-            assert verify_flawed(max_flow(net, state)).min_cut is None
+            lower = tuple(rng.randint(0, x) for x in state)
+            residual = list(max_flow(net, lower).residual)
+            for i, (x, y) in enumerate(zip(state, lower)):
+                residual[2 * i] += x - y
+            value = max_flow(net, lower).value + augment(net, residual)[0]
+            warm = FlowState(net=net, residual=tuple(residual), value=value)
+            assert value == max_flow_value(net, state)
             for demand in range(value + 2):
-                verdict = verify(net, state, demand)
-                if verdict.flow_value == demand:
-                    assert verdict.min_cut is None
-                    continue
-                cut = verdict.min_cut
-                assert list(cut) == sorted(set(cut))
-                assert sum(state[a - 1] for a in cut) == verdict.flow_value == value
-                assert net.sink not in reachable_from_source(net, removed=frozenset(cut))
-                certified += 1
-    assert certified > 1_000
+                assert verify(net, state, demand, warm) == verify(net, state, demand)
+                checked += 1
+    assert checked > 1_000
+
+
+def test_verify_refuses_a_flow_it_cannot_use(fig1):
+    state = (3, 2, 2, 1, 3, 3)
+    fs = max_flow(fig1, state)
+    assert verify(fig1, state, 7, fs) == verify(fig1, state, 7)
+    # Not maximal: the zero flow still reaches the sink.
+    with pytest.raises(ValidationError, match="not maximal"):
+        verify(fig1, state, 7, zero_flow(fig1, state))
+    # A maximum flow of other capacities, on the same arcs.
+    with pytest.raises(ValidationError, match="under this state"):
+        verify(fig1, (3, 2, 2, 1, 3, 2), 7, fs)
+    with pytest.raises(ValidationError, match="under this state"):
+        verify(fig1, state, 7, max_flow(fig1, (4, 2, 2, 1, 3, 3)))
+    # The same flow on another network object.
+    with pytest.raises(ValidationError, match="this network"):
+        verify(parse_network(serialize_network(fig1)), state, 7, fs)
+    # The state itself must still lie in the box.
+    with pytest.raises(ValidationError, match="outside"):
+        verify(fig1, (5, 2, 3, 1, 3, 3), 7, fs)
 
 
 def test_failing_arc_is_lowest_witness(fig1):
