@@ -4,15 +4,20 @@ A d-MC candidate is a state vector that gives the arcs of one minimal cut
 capacities summing to the demand d (each within its maximum) and every
 off-cut arc its full capacity.  A cut's stream yields these vectors as
 plain tuples, lazily, in ascending lexicographic order of the on-cut
-components.  The stream length is counted apart, by a prefix-sum dynamic
-program over the cut's arcs in O(k*d) for k arcs at demand d; the solver's
-search accounts for exactly that many candidates.  A cut whose counting
-table would need more than ``COMPOSITION_WORK_GUARD`` cells is refused,
-before any table is built or any candidate is streamed.
+components.  The stream length is counted apart, by one dynamic program,
+:func:`composition_table`: it counts the vectors over each suffix of the
+cut's arcs by the rest they hold, with prefix sums over the rest, in
+O(k·min(d, spare)) cells for k arcs at demand d.  Its row 0 is the stream
+length (:func:`count_compositions`), and the solver's search reads its
+pruned subtrees off the other rows and accounts for exactly that many
+candidates.  A cut whose counting table would need more than
+``COMPOSITION_WORK_GUARD`` cells is refused, before any table is built or
+any candidate is streamed.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .cuts import MinCut, refuse_repeated_arcs
@@ -25,9 +30,10 @@ COMPOSITION_WORK_GUARD = 10**7
 def _refuse_huge_table(k: int, total: int, spare: int) -> None:
     """Raise unless a counting table of k·min(total, spare) cells fits in ``COMPOSITION_WORK_GUARD``.
 
-    That is the table :func:`count_compositions` builds for k arcs at
+    That bounds the table :func:`composition_table` builds for k arcs at
     ``total``, with each cap clipped to the total and ``spare`` the clipped
-    caps' sum less the total.
+    caps' sum less the total: each of its rows holds at most
+    ``min(total, spare) + 1`` rests.
     """
     cells = k * min(total, spare)
     if cells > COMPOSITION_WORK_GUARD:
@@ -47,9 +53,7 @@ def compositions(caps: Sequence[int], total: int) -> Iterator[tuple[int, ...]]:
     the positions after it cannot hold.  The first vector is such a fill.
     """
     k = len(caps)
-    suffix = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + caps[i]
+    suffix = [*accumulate(reversed(caps), initial=0)][::-1]
     if not 0 <= total <= suffix[0]:
         return
     out = [0] * k
@@ -70,35 +74,54 @@ def compositions(caps: Sequence[int], total: int) -> Iterator[tuple[int, ...]]:
         pos, remaining = pos + 1, tail - 1
 
 
-def count_compositions(caps: Sequence[int], total: int) -> int:
-    """Number of vectors 0 <= x_i <= caps[i] with sum(x) == total.
+def composition_table(caps: Sequence[int], total: int) -> list[tuple[int, list[int]]]:
+    """Prefix-summed counts of the vectors over each suffix ``caps[j:]``, for every rest a walk can leave.
 
-    ``ways[s]`` counts the vectors over the arcs seen so far that sum to s;
-    an arc of capacity c replaces it by the sum of ``ways[s-c..s]``, kept as
-    a sliding window, so each arc costs O(total).  Caps are first clipped
-    to the total, and the complement x_i -> caps[i] - x_i maps the count at
-    the total to the count at sum(caps) - total, so the table is as short as
-    the smaller of the two and never longer than the count itself.
+    A walk that gives ``caps[:j]`` their values leaves a rest r for the
+    arcs from j on.  With caps clipped to the total, r is at least
+    ``low_j = max(0, total - sum(caps[:j]))`` and at most
+    ``min(total, sum(caps[j:]))``, a range never wider than
+    ``min(total, spare) + 1``, where ``spare`` is the clipped caps' sum less
+    the total.  Row j is ``(low_j, prefix)`` with ``prefix[t]`` the number
+    of vectors 0 <= x_i <= caps[i] over ``caps[j:]`` summing to a value in
+    [low_j, low_j + t), so a count over any range of rests is two reads.
+    Row k holds only the empty vector; row j is built from row j+1, each
+    count the sum of row j+1 over a sliding window of cap + 1 rests, which
+    two prefix reads give.  Row 0 holds only the total itself.  Empty when
+    the total is negative or beyond the caps.
     """
-    if total < 0:
-        return 0
     caps = [min(cap, total) for cap in caps]
     spare = sum(caps) - total
-    if spare < 0:
-        return 0
+    if total < 0 or spare < 0:
+        return []
     _refuse_huge_table(len(caps), total, spare)
-    total = min(total, spare)
-    ways = [1] + [0] * total
-    for cap in caps:
-        window = 0
-        row = []
-        for s, count in enumerate(ways):
-            window += count
-            if s > cap:
-                window -= ways[s - cap - 1]
-            row.append(window)
-        ways = row
-    return ways[total]
+    rows = [(0, [0, 1])]
+    tail = 0
+    for cap in reversed(caps):
+        below, prefix = rows[-1]
+        top, tail = len(prefix) - 1, tail + cap
+        low = tail - spare if tail > spare else 0
+        row, count = [0], 0
+        # u is a rest less the next row's low; its count sums the next row over rests u - cap .. u.
+        for u in range(low - below, (tail if tail < total else total) - below + 1):
+            count += prefix[u + 1 if u < top else top] - (prefix[u - cap] if u > cap else 0)
+            row.append(count)
+        rows.append((low, row))
+    return rows[::-1]
+
+
+def count_compositions(caps: Sequence[int], total: int) -> int:
+    """Number of vectors 0 <= x_i <= caps[i] with sum(x) == total: row 0 of :func:`composition_table`."""
+    rows = composition_table(caps, total)
+    return rows[0][1][-1] if rows else 0
+
+
+def _cut_caps(net: Network, cut: MinCut, demand: int) -> list[int]:
+    """The maximum capacities of ``cut``'s arcs, once a negative demand or a repeated arc id is refused."""
+    if demand < 0:
+        raise ValidationError(f"demand must be nonnegative, got {demand}")
+    refuse_repeated_arcs(cut)
+    return [net.max_capacities[a - 1] for a in cut]
 
 
 def enumerate_candidates(net: Network, cut: MinCut, demand: int) -> Iterator[StateVector]:
@@ -111,11 +134,8 @@ def enumerate_candidates(net: Network, cut: MinCut, demand: int) -> Iterator[Sta
     A negative demand, a repeated arc id or a cut whose count would pass
     the guard is refused at the first read.
     """
-    if demand < 0:
-        raise ValidationError(f"demand must be nonnegative, got {demand}")
-    refuse_repeated_arcs(cut)
+    caps = _cut_caps(net, cut, demand)
     positions = [arc_id - 1 for arc_id in cut]
-    caps = [net.max_capacities[p] for p in positions]
     _refuse_huge_table(len(caps), demand, sum(min(cap, demand) for cap in caps) - demand)
     vector = list(net.max_capacities)
     for on_cut in compositions(caps, demand):
@@ -126,7 +146,4 @@ def enumerate_candidates(net: Network, cut: MinCut, demand: int) -> Iterator[Sta
 
 def count_candidates(net: Network, cut: MinCut, demand: int) -> int:
     """Closed-form length of ``enumerate_candidates(net, cut, demand)``."""
-    if demand < 0:
-        raise ValidationError(f"demand must be nonnegative, got {demand}")
-    refuse_repeated_arcs(cut)
-    return count_compositions([net.max_capacities[a - 1] for a in cut], demand)
+    return count_compositions(_cut_caps(net, cut, demand), demand)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import groupby
 from pathlib import Path
 
 from .candidates import enumerate_candidates
@@ -94,14 +95,17 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check_flaw(args) -> int:
+    # Imported here, so that no other command pays for it at start-up.
+    from heapq import merge
+
     _, net = _load_network(args)
     # A partial cut list is sound here: each listed candidate gets both verdicts.
     cuts = _load_cuts(args, net)
-    candidates = sorted(
-        {v for cut in cuts for v in enumerate_candidates(net, cut, args.demand)}
-    )
+    # A stream over ascending arc ids ascends in full-vector order, so merging the
+    # streams and dropping repeats lists each candidate once, in sorted order.
+    streams = [enumerate_candidates(net, sorted(cut), args.demand) for cut in cuts]
     disagreements = 0
-    for vector in candidates:
+    for vector, _ in groupby(merge(*streams)):
         # One max flow per candidate feeds both verdicts and the evidence.
         fs = max_flow(net, vector)
         sound = classify(fs, args.demand)
@@ -110,11 +114,9 @@ def cmd_check_flaw(args) -> int:
             continue
         disagreements += 1
         # A unit raises a max flow by at most one, and exactly on the lifting arcs.
-        lifted = lifting_arcs(fs)
-        evidence = " ".join(
-            f"e{arc_id}:W={sound.flow_value + (arc_id in lifted)}"
-            for arc_id in sorted(unsaturated_set(net, vector))
-        )
+        unsaturated = sorted(unsaturated_set(net, vector))
+        lifted = lifting_arcs(fs, unsaturated)
+        evidence = " ".join(f"e{arc_id}:W={sound.flow_value + (arc_id in lifted)}" for arc_id in unsaturated)
         verdicts = (
             f"corrected={'accept' if sound.is_dmc else 'reject'}"
             f" flawed={'accept' if flawed.is_dmc else 'reject'}"

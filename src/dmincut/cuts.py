@@ -88,7 +88,7 @@ def is_min_cut(net: Network, arc_ids) -> bool:
     proven = net._proven_min_cuts
     if key in proven:
         return True
-    if lifting_arcs(_unit_zero_flow(net, cut)) != cut:
+    if lifting_arcs(_unit_zero_flow(net, cut), range(1, net.arc_count + 1)) != cut:
         return False
     proven.add(arc_ids if isinstance(arc_ids, tuple) and arc_ids == key else key)
     return True

@@ -158,21 +158,24 @@ def residual_reachable(fs: FlowState) -> bool:
     return fs.source_tree[fs.net.sink] >= 0
 
 
-def lifting_arcs(fs: FlowState) -> set[int]:
-    """Ids of the arcs (u, v) where the source reaches u and v reaches the sink in the residual.
+def lifting_arcs(fs: FlowState, arc_ids) -> set[int]:
+    """The arcs (u, v) among ``arc_ids`` where the source reaches u and v reaches the sink in the residual.
 
-    One forward and one backward search classify every arc at once; the
+    ``arc_ids`` are ids of arcs of ``fs.net``, 1..m; they are not checked
+    here, since every caller draws them from the network.  One forward and one backward search classify every arc at once; the
     forward one is :attr:`FlowState.source_tree`, which a flow from
-    :func:`max_flow` already holds, so only the backward search runs here.
-    When ``fs`` is a maximum flow, every new augmenting path crosses a
-    raised arc, so these are exactly the arcs whose capacity, raised by one
-    unit, lifts the max flow above ``fs.value``.  On the zero flow with a
-    cut's arcs closed and every other arc at one unit, which is maximal
-    when the cut disconnects, they are the cut arcs whose reopening
-    restores a source-sink path; :func:`dmincut.cuts.is_min_cut` decides
-    minimality so.
+    :func:`max_flow` already holds, so only the backward search runs here,
+    and each arc asked about costs O(1) more: a caller that needs a few
+    arcs, such as a d-MC test asking about the unsaturated ones, pays for
+    those, not for all m.  When ``fs`` is a maximum flow, every new
+    augmenting path crosses a raised arc, so these are exactly the asked
+    arcs whose capacity, raised by one unit, lifts the max flow above
+    ``fs.value``.  On the zero flow with a cut's arcs closed and every
+    other arc at one unit, which is maximal when the cut disconnects, they
+    are, asked about every arc, the cut arcs whose reopening restores a
+    source-sink path; :func:`dmincut.cuts.is_min_cut` decides minimality so.
     """
-    net = fs.net
-    from_source = fs.source_tree
+    net, from_source = fs.net, fs.source_tree
     to_sink = residual_tree(net, fs.residual, net.sink, backward=1)
-    return {a.index for a in net.arcs if from_source[a.tail] >= 0 and to_sink[a.head] >= 0}
+    arcs = net.arcs
+    return {a for a in arc_ids if from_source[arcs[a - 1].tail] >= 0 and to_sink[arcs[a - 1].head] >= 0}

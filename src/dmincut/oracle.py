@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from math import fsum
+from math import fsum, prod
 from operator import le
 from typing import Iterable, Sequence
 
@@ -85,10 +85,7 @@ class _AugmentingPathFlow:
 
 
 def state_space_size(net: Network) -> int:
-    size = 1
-    for w in net.max_capacities:
-        size *= w + 1
-    return size
+    return prod(w + 1 for w in net.max_capacities)
 
 
 def _check_guard(net: Network) -> None:
@@ -155,10 +152,7 @@ def reliability_exhaustive(net: Network, dist: EdgeDistribution, demand: int) ->
     terms = []
     for state in _box(net):
         if engine.value(state) >= demand:
-            mass = 1.0
-            for pmf, x in zip(dist.pmfs, state):
-                mass *= pmf[x]
-            terms.append(mass)
+            terms.append(prod(pmf[x] for pmf, x in zip(dist.pmfs, state)))
     return fsum(terms)
 
 

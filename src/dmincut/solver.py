@@ -28,14 +28,18 @@ Two prunes are sound:
   arc i at v does not lift, and no leaf below the child at v is a d-MC
   either.  This costs no search beyond the failed step.
 
-A pruned subtree's leaves are counted with
-:func:`~dmincut.candidates.count_compositions` over its free arcs, and
-where the rest of the cut is forced (nothing left to assign, or exactly
-what the free arcs hold) the walk goes straight to the leaf.  A leaf's
-flow has value d, which is maximal because C's capacity under the leaf is
-d, so :func:`~dmincut.verify.verify` classifies it on that flow and no
-leaf gets a max flow of its own.  Depths are kept on an explicit stack, so
-a cut of any width is fine.
+A pruned subtree's leaves are counted from one table per cut,
+:func:`~dmincut.candidates.composition_table`: for each depth j, the
+prefix sums over the rest r of the number of vectors over the free arcs
+j.. summing to r.  A prune at depth j then costs two reads: the child's
+subtree is one rest, and the larger values at its depth are a range of
+rests.  The table is built at a cut's first prune, so a cut that never
+prunes (as every cut of the benchmark grids at d = 1) builds none.  Where the rest of the cut is forced
+(nothing left to assign, or exactly what the free arcs hold) the walk
+goes straight to the leaf.  A leaf's flow has value d, which is maximal
+because C's capacity under the leaf is d, so :func:`~dmincut.verify.verify`
+classifies it on that flow and no leaf gets a max flow of its own.  Depths
+are kept on an explicit stack, so a cut of any width is fine.
 
 Accepted vectors are merged into a set because distinct cuts can emit the
 same d-MC.  The infeasibility diagnostic costs one max flow, of the
@@ -52,9 +56,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate
 
 # enumerate_candidates is unused here: the benchmark tracer wraps dmincut.solver.enumerate_candidates.
-from .candidates import count_candidates, count_compositions, enumerate_candidates  # noqa: F401
+from .candidates import composition_table, count_candidates, enumerate_candidates  # noqa: F401
 from .cuts import MinCut, is_min_cut
 from .errors import ValidationError
 from .maxflow import FlowState, augment, max_flow
@@ -117,11 +122,21 @@ def _search_cut(
     """
     positions = [arc_id - 1 for arc_id in cut]
     caps = [net.max_capacities[p] for p in positions]
-    suffix = [0] * (len(caps) + 1)
-    for i in range(len(caps) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + caps[i]
+    suffix = [*accumulate(reversed(caps), initial=0)][::-1]
     if demand > suffix[0]:
         return 0
+    table = []
+
+    def leaves_below(j: int, least: int, rest: int) -> int:
+        """Leaves whose arcs from j on hold a sum in [least, rest], read off the cut's table.
+
+        The table is built at the first prune, so a cut that never prunes builds none.
+        """
+        if not table:
+            table.extend(composition_table(caps, demand))
+        low, prefix = table[j]
+        return prefix[rest + 1 - low] - prefix[max(least - low, 0)]
+
     vector = list(net.max_capacities)
     root = [0] * (2 * net.arc_count)
     root[::2] = vector
@@ -140,8 +155,8 @@ def _search_cut(
                     stack.append((i, v + 1, step, rest - 1))
                 else:
                     # Arc i at v does not lift: the child at v has no d-MC, and v+1.. are below d.
-                    pruned += count_compositions(caps[i + 1 :], rest)
-                    below += count_compositions([caps[i] - v - 1, *caps[i + 1 :]], rest - 1)
+                    pruned += leaves_below(i + 1, rest, rest)
+                    below += leaves_below(i + 1, rest - caps[i] + v, rest - 1)
                     continue
         j = i + 1
         if rest == 0:
@@ -158,7 +173,7 @@ def _search_cut(
             if low:
                 residual[2 * positions[j]] = low
                 if augment(net, residual, low)[0] < low:
-                    below += count_compositions(caps[j:], rest)
+                    below += leaves_below(j, rest, rest)
                     continue
             stack.append((j, low, residual, rest - low))
             continue

@@ -19,7 +19,9 @@ from dmincut import (
     Network,
     ValidationError,
     enumerate_candidates,
+    lifting_arcs,
     state_space_size,
+    unsaturated_set,
     verify,
 )
 
@@ -111,6 +113,24 @@ def bump(net: Network, state, arc_id: int) -> tuple[int, ...]:
             f"arc {arc_id} already at maximum capacity {net.max_capacities[i]}"
         )
     return state[:i] + (state[i] + 1,) + state[i + 1 :]
+
+
+def every_arc(net: Network) -> range:
+    """Every arc id of ``net``, ascending."""
+    return range(1, net.arc_count + 1)
+
+
+def verdict_by_set_formula(fs: FlowState, state, demand: int) -> tuple[bool, int | None]:
+    """``(is_dmc, failing_arc)`` of the maximum flow ``fs`` under ``state``, by whole-network sets.
+
+    The d-MC test as first written: W(X) = d, and the failing arcs are the
+    unsaturated arcs minus the lifting arcs of every arc; the witness is
+    the lowest of them.
+    """
+    if fs.value != demand:
+        return False, None
+    failing = unsaturated_set(fs.net, state) - lifting_arcs(fs, every_arc(fs.net))
+    return not failing, min(failing, default=None)
 
 
 def zero_flow(net: Network, state) -> FlowState:

@@ -131,8 +131,9 @@ def test_acceptance_3_residual_route_equals_direct_inequality(sweep):
                     if record.table[cand] != demand:
                         continue
                     fs = max_flow(net, cand)
-                    lifting = lifting_arcs(fs)
-                    for arc_id in sorted(unsaturated_set(net, cand)):
+                    unsaturated = sorted(unsaturated_set(net, cand))
+                    lifting = lifting_arcs(fs, unsaturated)
+                    for arc_id in unsaturated:
                         bumped = bump(net, cand, arc_id)
                         # The same flow under the bumped state: one more unit of room on the arc.
                         residual = list(fs.residual)

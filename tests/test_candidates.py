@@ -11,7 +11,7 @@ from dmincut import (
     enumerate_candidates,
 )
 from dmincut import candidates
-from dmincut.candidates import compositions
+from dmincut.candidates import composition_table, compositions
 
 from helpers import count_by_inclusion_exclusion
 
@@ -170,3 +170,39 @@ def test_streams_are_independent(fig1):
     first_a = next(a)
     all_b = list(b)
     assert [first_a, next(a)] == all_b[:2]
+
+
+def test_search_table_counts_every_rest_the_search_can_visit():
+    # Caps far above the total, spare far below it, and small random profiles.
+    cases = [
+        ((10**12, 5), 10**6),
+        ((10**12, 10**12), 2 * 10**12 - 1),
+        ((10**6, 10**6, 10**6), 3 * 10**6 - 2),
+        ((10**12, 1, 1), 5 * 10**11),
+        ((), 0),
+        ((), 1),
+        ((2, 2), 5),
+    ]
+    rng = random.Random(304)
+    for _ in range(300):
+        caps = tuple(rng.randint(0, 6) for _ in range(rng.randint(1, 6)))
+        cases.append((caps, rng.randint(0, sum(caps) + 1)))
+    for caps, total in cases:
+        rows = composition_table(caps, total)
+        clipped = [min(cap, total) for cap in caps]
+        spare = sum(clipped) - total
+        if spare < 0:
+            assert rows == []
+            continue
+        assert len(rows) == len(caps) + 1
+        for j, (low, prefix) in enumerate(rows):
+            high = min(total, sum(clipped[j:]))
+            assert low == max(0, total - sum(clipped[:j]))
+            assert prefix[0] == 0 and len(prefix) - 1 == high - low + 1 <= min(total, spare) + 1
+            counts = [b - a for a, b in zip(prefix, prefix[1:])]
+            assert counts == [count_by_inclusion_exclusion(caps[j:], r) for r in range(low, high + 1)]
+        if len(caps) <= 6 and total <= 20:
+            # Every prefix of a candidate leaves a rest inside its depth's row.
+            for xs in compositions(caps, total):
+                for j, (low, prefix) in enumerate(rows):
+                    assert low <= total - sum(xs[:j]) <= low + len(prefix) - 2, (caps, total, xs, j)

@@ -25,6 +25,7 @@ from helpers import (
     box,
     bump,
     cut_capacity_minimum,
+    every_arc,
     grid_network,
     random_network,
     random_state,
@@ -162,21 +163,21 @@ def assert_lifting_matches_definition(net):
             a for a in range(1, net.arc_count + 1)
             if max_flow_value(wide, bump(wide, state, a)) > fs.value
         }
-        assert lifting_arcs(fs) == expected, state
+        assert lifting_arcs(fs, every_arc(wide)) == expected, state
 
 
 def test_lifting_arcs_fig1(fig1):
     # (3,2,2,1,3,3) carries 7 units; one more unit on arc 2 or 3 reaches 8,
     # one more on arc 1 does not.
-    assert lifting_arcs(max_flow(fig1, (3, 2, 2, 1, 3, 3))) == {2, 3}
-    assert lifting_arcs(max_flow(fig1, (0, 2, 3, 1, 3, 3))) == {1, 2, 3}
+    assert lifting_arcs(max_flow(fig1, (3, 2, 2, 1, 3, 3)), every_arc(fig1)) == {2, 3}
+    assert lifting_arcs(max_flow(fig1, (0, 2, 3, 1, 3, 3)), every_arc(fig1)) == {1, 2, 3}
     assert_lifting_matches_definition(fig1)
 
 
 def test_lifting_arcs_anti_parallel_pair():
     net = parse_network(ANTI_PARALLEL)  # arcs 3 and 4 join nodes 2 and 3 both ways
-    assert lifting_arcs(max_flow(net, (2, 1, 1, 1, 0, 2))) == {5}
-    assert lifting_arcs(max_flow(net, (2, 0, 2, 1, 1, 2))) == {1, 2}
+    assert lifting_arcs(max_flow(net, (2, 1, 1, 1, 0, 2)), every_arc(net)) == {5}
+    assert lifting_arcs(max_flow(net, (2, 0, 2, 1, 1, 2)), every_arc(net)) == {1, 2}
     assert_lifting_matches_definition(net)
 
 
@@ -269,10 +270,10 @@ def test_residual_tree_entries_are_shortest_paths():
 
 def test_lifting_arcs_fig1_one_more_unit_cases(fig1):
     # (0,2,3,1,3,3) carries 5 units and one more unit on arc 1 reaches 6.
-    assert 1 in lifting_arcs(max_flow(fig1, (0, 2, 3, 1, 3, 3)))
+    assert 1 in lifting_arcs(max_flow(fig1, (0, 2, 3, 1, 3, 3)), [1])
     # (3,2,3,1,3,3) has max flow 8 and bumping arc 1 cannot beat the
     # saturated value 8.
-    assert 1 not in lifting_arcs(max_flow(fig1, (3, 2, 3, 1, 3, 3)))
+    assert 1 not in lifting_arcs(max_flow(fig1, (3, 2, 3, 1, 3, 3)), [1])
 
 
 def test_lifting_arcs_matches_direct_inequality_per_unsaturated_arc():
@@ -282,8 +283,9 @@ def test_lifting_arcs_matches_direct_inequality_per_unsaturated_arc():
         net = random_network(rng)
         state = random_state(rng, net)
         fs = max_flow(net, state)
-        lifting = lifting_arcs(fs)
-        for arc_id in unsaturated_set(net, state):
+        unsaturated = unsaturated_set(net, state)
+        lifting = lifting_arcs(fs, unsaturated)
+        for arc_id in unsaturated:
             expected = max_flow_value(net, bump(net, state, arc_id)) > fs.value
             assert (arc_id in lifting) is expected
             checked += 1
@@ -343,7 +345,8 @@ def test_replaced_residual_is_searched_again(fig1, residual_tree_calls):
     residual_tree_calls.clear()
     assert residual_reachable(zero)
     assert residual_tree_calls == [(fig1.source, 0)]
-    assert lifting_arcs(zero) == lifting_arcs(zero_flow(fig1, saturated)) != lifting_arcs(fs)
+    arcs = every_arc(fig1)
+    assert lifting_arcs(zero, arcs) == lifting_arcs(zero_flow(fig1, saturated), arcs) != lifting_arcs(fs, arcs)
 
 
 def test_out_slots_pairs_each_slot_with_its_head():

@@ -12,6 +12,7 @@ from dmincut import (  # noqa: E402
     EdgeDistribution,
     Network,
     ValidationError,
+    classify,
     dmc_levels,
     enumerate_candidates,
     enumerate_min_cuts,
@@ -26,10 +27,12 @@ from dmincut import (  # noqa: E402
 from helpers import (  # noqa: E402
     assert_feasible,
     bump,
+    every_arc,
     min_cuts_by_subsets,
     reachable_from_source,
     reference_dmcs,
     serialize_network,
+    verdict_by_set_formula,
 )
 
 
@@ -78,7 +81,19 @@ def test_lifting_arcs_are_the_bumps_that_raise_the_oracle_flow(net, data):
         if max_flow_value(wide, state[: a.index - 1] + (state[a.index - 1] + 1,) + state[a.index:])
         > fs.value
     }
-    assert lifting_arcs(fs) == raising
+    assert lifting_arcs(fs, every_arc(net)) == raising
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(networks(max_arcs=8), st.data())
+def test_verdict_equals_the_whole_network_set_formula(net, data):
+    # classify asks only about the unsaturated arcs; the reference asks about every arc.
+    state = data.draw(st.tuples(*(st.integers(0, w) for w in net.max_capacities)))
+    value = max_flow(net, state).value
+    for demand in (value - 1, value, value + 1):
+        verdict = classify(max_flow(net, state), demand)
+        assert verdict.flow_value == value
+        assert (verdict.is_dmc, verdict.failing_arc) == verdict_by_set_formula(max_flow(net, state), state, demand)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

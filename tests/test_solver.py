@@ -302,7 +302,7 @@ def test_solve_searches_no_cut_its_source_proved(fig1_text, monkeypatch):
     """Cuts from enumerate_min_cuts or parse_cuts cost find_all_dmcs no minimality search."""
     real = cuts_module.lifting_arcs
     searches = []
-    monkeypatch.setattr(cuts_module, "lifting_arcs", lambda fs: searches.append(fs) or real(fs))
+    monkeypatch.setattr(cuts_module, "lifting_arcs", lambda fs, arc_ids: searches.append(fs) or real(fs, arc_ids))
     rng = random.Random(3)
     caps = [rng.randint(1, 3) for _ in range(20)]
     for build in (lambda: parse_network(fig1_text), lambda: grid_network(2, 6, caps)):
