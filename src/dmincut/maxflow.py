@@ -162,18 +162,19 @@ def lifting_arcs(fs: FlowState, arc_ids) -> set[int]:
     """The arcs (u, v) among ``arc_ids`` where the source reaches u and v reaches the sink in the residual.
 
     ``arc_ids`` are ids of arcs of ``fs.net``, 1..m; they are not checked
-    here, since every caller draws them from the network.  One forward and one backward search classify every arc at once; the
-    forward one is :attr:`FlowState.source_tree`, which a flow from
-    :func:`max_flow` already holds, so only the backward search runs here,
-    and each arc asked about costs O(1) more: a caller that needs a few
-    arcs, such as a d-MC test asking about the unsaturated ones, pays for
-    those, not for all m.  When ``fs`` is a maximum flow, every new
-    augmenting path crosses a raised arc, so these are exactly the asked
-    arcs whose capacity, raised by one unit, lifts the max flow above
-    ``fs.value``.  On the zero flow with a cut's arcs closed and every
-    other arc at one unit, which is maximal when the cut disconnects, they
-    are, asked about every arc, the cut arcs whose reopening restores a
-    source-sink path; :func:`dmincut.cuts.is_min_cut` decides minimality so.
+    here, since every caller draws them from the network.  One forward and
+    one backward search classify every arc at once; the forward one is
+    :attr:`FlowState.source_tree`, which a flow from :func:`max_flow`
+    already holds, so only the backward search runs here, and each arc
+    asked about costs O(1) more: a caller that needs a few arcs, such as a
+    d-MC test asking about the unsaturated ones, pays for those, not for
+    all m.  When ``fs`` is a maximum flow, every new augmenting path
+    crosses a raised arc, so these are exactly the asked arcs whose
+    capacity, raised by one unit, lifts the max flow above ``fs.value``.
+    On the zero flow with a cut's arcs closed and every other arc at one
+    unit, which is maximal when the cut disconnects, they are, asked about
+    every arc, the cut arcs whose reopening restores a source-sink path;
+    :func:`dmincut.cuts.is_min_cut` decides minimality so.
     """
     net, from_source = fs.net, fs.source_tree
     to_sink = residual_tree(net, fs.residual, net.sink, backward=1)

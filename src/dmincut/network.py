@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from math import fsum
-from operator import le
+from operator import le, lt
 
 from .errors import NetworkParseError, ValidationError
 
@@ -147,7 +148,7 @@ class Network:
 
 def unsaturated_set(net: Network, state: StateVector) -> set[int]:
     """Ids of arcs strictly below their maximum capacity."""
-    return {a.index for a, x in zip(net.arcs, state) if x < a.max_capacity}
+    return set(compress(range(1, net.arc_count + 1), map(lt, state, net.max_capacities)))
 
 
 def format_vector(state: StateVector) -> str:

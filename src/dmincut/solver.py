@@ -34,9 +34,11 @@ prefix sums over the rest r of the number of vectors over the free arcs
 j.. summing to r.  A prune at depth j then costs two reads: the child's
 subtree is one rest, and the larger values at its depth are a range of
 rests.  The table is built at a cut's first prune, so a cut that never
-prunes (as every cut of the benchmark grids at d = 1) builds none.  Where the rest of the cut is forced
-(nothing left to assign, or exactly what the free arcs hold) the walk
-goes straight to the leaf.  A leaf's flow has value d, which is maximal
+prunes (as every cut of the benchmark grids at d = 1) builds none.
+
+Each arc starts at the least value from which the arcs after it can
+still hold the rest of d, and a node with nothing left to assign is a
+leaf, its later arcs at 0.  A leaf's flow has value d, which is maximal
 because C's capacity under the leaf is d, so :func:`~dmincut.verify.verify`
 classifies it on that flow and no leaf gets a max flow of its own.  Depths
 are kept on an explicit stack, so a cut of any width is fine.
@@ -159,16 +161,8 @@ def _search_cut(
                     below += leaves_below(i + 1, rest - caps[i] + v, rest - 1)
                     continue
         j = i + 1
-        if rest == 0:
-            for p in positions[j:]:
-                vector[p] = 0
-        elif rest == suffix[j]:
-            for p, cap in zip(positions[j:], caps[j:]):
-                vector[p] = residual[2 * p] = cap
-            if augment(net, residual, rest)[0] < rest:
-                below += 1
-                continue
-        else:
+        if rest:
+            # rest <= suffix[j], so an arc is left: raise it to the least value that can still reach d.
             low = max(0, rest - suffix[j + 1])
             if low:
                 residual[2 * positions[j]] = low
@@ -177,6 +171,8 @@ def _search_cut(
                     continue
             stack.append((j, low, residual, rest - low))
             continue
+        for p in positions[j:]:
+            vector[p] = 0
         # A leaf: its flow has value demand, the cut's capacity under it, so it is maximal.
         leaves += 1
         state = tuple(vector)

@@ -31,12 +31,11 @@ check-flaw takes its evidence from that same flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, filterfalse
-from operator import add, lt
+from operator import add
 
 from .errors import ValidationError
 from .maxflow import FlowState, lifting_arcs, max_flow, residual_reachable
-from .network import Network, StateVector
+from .network import Network, StateVector, unsaturated_set
 
 
 @dataclass(frozen=True)
@@ -63,9 +62,9 @@ def _verdict(fs: FlowState, state: StateVector, demand: int) -> Verdict:
     """:func:`classify` of the maximum flow ``fs``, whose capacity state is ``state``."""
     if fs.value != demand:
         return Verdict(is_dmc=False, flow_value=fs.value, failing_arc=None)
-    unsaturated = list(compress(range(1, fs.net.arc_count + 1), map(lt, state, fs.net.max_capacities)))
-    failing = next(filterfalse(lifting_arcs(fs, unsaturated).__contains__, unsaturated), None)
-    return Verdict(is_dmc=failing is None, flow_value=fs.value, failing_arc=failing)
+    unsaturated = unsaturated_set(fs.net, state)
+    failing = unsaturated - lifting_arcs(fs, unsaturated)
+    return Verdict(is_dmc=not failing, flow_value=fs.value, failing_arc=min(failing) if failing else None)
 
 
 def classify(fs: FlowState, demand: int) -> Verdict:

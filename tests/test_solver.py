@@ -186,6 +186,57 @@ def test_sweep_search_matches_the_reference_and_leaves_no_dmc_unverified(verify_
     assert unverified > 800 and below > 600
 
 
+def diamond(cap4):
+    """Arcs 1 and 2 leave the source for nodes 2 and 3; arcs 3 and 4 join those to the sink."""
+    return parse_network(f"nodes 4 source 1 sink 4\nedge 1 1 2 2\nedge 2 1 3 2\nedge 3 2 4 2\nedge 4 3 4 {cap4}\n")
+
+
+def assert_matches_the_reference(net, demands):
+    cuts = enumerate_min_cuts(net)
+    for demand in demands:
+        report = find_all_dmcs(net, demand, cuts)
+        assert (report.dmcs, report.counters.duplicates_removed) == reference_dmcs(net, demand, cuts)
+        assert audit_complexity(report)
+
+
+def partition(report):
+    c = report.counters
+    return c.below_demand, c.not_maximal, c.accepted, c.duplicates_removed
+
+
+def test_a_rest_that_fills_the_free_arcs_reaches_its_leaf(verify_calls):
+    # On the cut {1, 2} at d = 3, arc 1 at 1 leaves a rest of 2, all that arc 2 holds.
+    net = diamond(2)
+    report = find_all_dmcs(net, 3, [(1, 2)])
+    assert verify_calls == [(1, 2, 2, 2), (2, 1, 2, 2)]
+    assert partition(report) == (0, 0, 2, 0)
+    assert partition(find_all_dmcs(net, 3, enumerate_min_cuts(net))) == (0, 0, 4, 4)
+    assert_matches_the_reference(net, range(6))
+
+
+def test_a_rest_that_fills_the_free_arcs_but_not_the_flow_is_one_below_demand(verify_calls):
+    # As above, but arc 4 carries 1: (1, 2, 2, 1) has W = 2 < 3, and (2, 1, 2, 1) is not maximal.
+    net = diamond(1)
+    report = find_all_dmcs(net, 3, [(1, 2)])
+    assert verify_calls == [(2, 1, 2, 1)]
+    assert partition(report) == (1, 1, 0, 0)
+    assert partition(find_all_dmcs(net, 3, enumerate_min_cuts(net))) == (2, 2, 1, 1)
+    assert_matches_the_reference(net, range(6))
+
+
+def test_a_wide_parallel_cut_lists_every_candidate(verify_calls):
+    # One cut of 40 unit arcs, where every candidate is a d-MC.  At low demand a leaf is reached
+    # with most arcs unassigned, and the leaf sets them to 0; at 39 and 40 the rest fills the free
+    # arcs, and the search raises them one by one.
+    net = parse_network("nodes 2 source 1 sink 2\n" + "".join(f"edge {a} 1 2 1\n" for a in range(1, 41)))
+    for demand, leaves in [(0, 1), (1, 40), (2, 780), (39, 40), (40, 1)]:
+        verify_calls.clear()
+        report = find_all_dmcs(net, demand, [tuple(range(1, 41))])
+        assert partition(report) == (0, 0, leaves, 0)
+        assert sorted(verify_calls) == list(report.dmcs)
+    assert_matches_the_reference(net, [0, 1, 2, 39, 40])
+
+
 def test_counters_account_every_candidate(fig1):
     cuts = enumerate_min_cuts(fig1)
     report = find_all_dmcs(fig1, 7, cuts)
