@@ -11,8 +11,8 @@ O(k·min(d, spare)) cells for k arcs at demand d.  Its row 0 is the stream
 length (:func:`count_compositions`), and the solver's search reads its
 pruned subtrees off the other rows and accounts for exactly that many
 candidates.  A cut whose counting table would need more than
-``COMPOSITION_WORK_GUARD`` cells is refused, before any table is built or
-any candidate is streamed.
+``COMPOSITION_WORK_GUARD`` cells is refused by :func:`cut_caps`, before
+any table is built or any candidate is streamed.
 """
 
 from __future__ import annotations
@@ -116,12 +116,19 @@ def count_compositions(caps: Sequence[int], total: int) -> int:
     return rows[0][1][-1] if rows else 0
 
 
-def _cut_caps(net: Network, cut: MinCut, demand: int) -> list[int]:
-    """The maximum capacities of ``cut``'s arcs, once a negative demand or a repeated arc id is refused."""
+def cut_caps(net: Network, cut: MinCut, demand: int) -> list[int]:
+    """The maximum capacities of ``cut``'s arcs, once every guard of its candidates has passed.
+
+    A negative demand, a repeated arc id and a cut whose counting table
+    would pass ``COMPOSITION_WORK_GUARD`` are refused here, with no table
+    built.
+    """
     if demand < 0:
         raise ValidationError(f"demand must be nonnegative, got {demand}")
     refuse_repeated_arcs(cut)
-    return [net.max_capacities[a - 1] for a in cut]
+    caps = [net.max_capacities[a - 1] for a in cut]
+    _refuse_huge_table(len(caps), demand, sum(min(cap, demand) for cap in caps) - demand)
+    return caps
 
 
 def enumerate_candidates(net: Network, cut: MinCut, demand: int) -> Iterator[StateVector]:
@@ -134,9 +141,8 @@ def enumerate_candidates(net: Network, cut: MinCut, demand: int) -> Iterator[Sta
     A negative demand, a repeated arc id or a cut whose count would pass
     the guard is refused at the first read.
     """
-    caps = _cut_caps(net, cut, demand)
+    caps = cut_caps(net, cut, demand)
     positions = [arc_id - 1 for arc_id in cut]
-    _refuse_huge_table(len(caps), demand, sum(min(cap, demand) for cap in caps) - demand)
     vector = list(net.max_capacities)
     for on_cut in compositions(caps, demand):
         for p, value in zip(positions, on_cut):
@@ -146,4 +152,4 @@ def enumerate_candidates(net: Network, cut: MinCut, demand: int) -> Iterator[Sta
 
 def count_candidates(net: Network, cut: MinCut, demand: int) -> int:
     """Closed-form length of ``enumerate_candidates(net, cut, demand)``."""
-    return count_compositions(_cut_caps(net, cut, demand), demand)
+    return count_compositions(cut_caps(net, cut, demand), demand)

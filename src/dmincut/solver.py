@@ -11,8 +11,15 @@ depth i, values ascending.  A node's partial state has C's assigned arcs
 at their values, C's other arcs at 0 and every other arc full; it carries
 a maximum flow of that state in a residual of its own, warm-started from
 its parent's, and kept only while the flow equals the assigned sum (the
-capacity of C under the partial state).  A step from value v to v+1 adds
-one unit of room and runs one augmentation of :func:`~dmincut.maxflow.augment`.
+capacity of C under the partial state).  Such a flow saturates C and sends
+nothing back across it, so the residual's source tree stays on C's source
+side and its sink tree on C's sink side.  A unit more on a cut arc (u, v)
+therefore lifts the flow iff the source tree reaches u and the sink tree
+reaches v.  Each node keeps both trees, searched only when first needed,
+and a step from value v to v+1 is those two lookups and, when they
+succeed, :func:`~dmincut.maxflow.push_unit`: one unit along the trees,
+with no search.  The child inherits each tree the push kept, and searches
+the others when it needs them.  A step that fails runs no search.
 Two prunes are sound:
 
 * W < d.  A leaf X with W(X) = d has a flow of value d that saturates C
@@ -28,20 +35,25 @@ Two prunes are sound:
   arc i at v does not lift, and no leaf below the child at v is a d-MC
   either.  This costs no search beyond the failed step.
 
-A pruned subtree's leaves are counted from one table per cut,
-:func:`~dmincut.candidates.composition_table`: for each depth j, the
-prefix sums over the rest r of the number of vectors over the free arcs
-j.. summing to r.  A prune at depth j then costs two reads: the child's
-subtree is one rest, and the larger values at its depth are a range of
-rests.  The table is built at a cut's first prune, so a cut that never
-prunes (as every cut of the benchmark grids at d = 1) builds none.
+Every cut first passes the guards of :func:`~dmincut.candidates.cut_caps`,
+so a cut past the counting guard is refused before any search.  Each cut
+then builds one table, :func:`~dmincut.candidates.composition_table`: for
+each depth j, the prefix sums over the rest r of the number of vectors
+over the free arcs j.. summing to r.  Row 0 holds the cut's candidate
+count, the bound of the report, and a pruned subtree's leaves are read
+off the other rows: a prune at depth j costs two reads, since the child's
+subtree is one rest and the larger values at its depth are a range of
+rests.  Only the table of the cut being searched is alive.
 
 Each arc starts at the least value from which the arcs after it can
-still hold the rest of d, and a node with nothing left to assign is a
-leaf, its later arcs at 0.  A leaf's flow has value d, which is maximal
-because C's capacity under the leaf is d, so :func:`~dmincut.verify.verify`
-classifies it on that flow and no leaf gets a max flow of its own.  Depths
-are kept on an explicit stack, so a cut of any width is fine.
+still hold the rest of d, and is raised to it one unit at a time, so the
+arc is full whenever a tree is searched; a node with nothing left to
+assign is a leaf, its later arcs at 0.  A leaf's flow has value d, which
+is maximal because C's capacity under the leaf is d, so
+:func:`~dmincut.verify.verify` classifies it on that flow and no leaf gets
+a max flow of its own.  The leaf's flow carries both of its node's trees,
+so its classification runs no search either.  Depths are kept on an
+explicit stack, so a cut of any width is fine.
 
 Accepted vectors are merged into a set because distinct cuts can emit the
 same d-MC.  The infeasibility diagnostic costs one max flow, of the
@@ -60,11 +72,11 @@ import json
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 
-# enumerate_candidates is unused here: the benchmark tracer wraps dmincut.solver.enumerate_candidates.
-from .candidates import composition_table, count_candidates, enumerate_candidates  # noqa: F401
+# count_candidates and enumerate_candidates are unused here: the benchmark tracer wraps both names in this module.
+from .candidates import composition_table, count_candidates, cut_caps, enumerate_candidates  # noqa: F401
 from .cuts import MinCut, is_min_cut
 from .errors import ValidationError
-from .maxflow import FlowState, augment, max_flow
+from .maxflow import FlowState, max_flow, push_unit, residual_tree
 from .network import Network, StateVector
 from .verify import verify
 
@@ -113,31 +125,49 @@ def infeasibility(net: Network, demand: int) -> str | None:
 
 
 def _search_cut(
-    net: Network, cut: MinCut, demand: int, counters: OperationCounters, found: set[StateVector]
-) -> int:
-    """Walk the candidate tree of ``cut``; return how many candidates it accounted for.
+    net: Network, cut: MinCut, caps: list[int], demand: int, counters: OperationCounters,
+    found: set[StateVector],
+) -> tuple[int, int]:
+    """Walk the candidate tree of ``cut``; return its candidate count and how many candidates it accounted for.
 
-    A stack frame ``(i, v, residual, rest)`` is the node with arc i of the
-    cut at v, ``rest`` units of the demand still to assign, and in
-    ``residual`` a flow of value ``demand - rest``, owned by the frame.
-    Depth -1 is the root, where nothing is assigned yet.
+    ``caps`` are the cut's maximum capacities, already past the guards.
+    The count is row 0 of their ``composition_table`` at ``demand``, the
+    table the prunes are read from, which dies with the call.
+
+    A stack frame ``(i, v, residual, rest, trees)`` is the node with arc i
+    of the cut at v, ``rest`` units of the demand still to assign, in
+    ``residual`` a flow of value ``demand - rest``, and in ``trees`` its
+    source tree and sink tree, None until searched; the frame owns the
+    residual and the list.  Depth -1 is the root, where nothing is
+    assigned yet.
     """
+    table = composition_table(caps, demand)
+    if not table:
+        return 0, 0
     positions = [arc_id - 1 for arc_id in cut]
-    caps = [net.max_capacities[p] for p in positions]
+    slots = [2 * p for p in positions]
     suffix = [*accumulate(reversed(caps), initial=0)][::-1]
-    if demand > suffix[0]:
-        return 0
-    table = []
+    to, source, sink = net.slot_heads, net.source, net.sink
 
     def leaves_below(j: int, least: int, rest: int) -> int:
-        """Leaves whose arcs from j on hold a sum in [least, rest], read off the cut's table.
-
-        The table is built at the first prune, so a cut that never prunes builds none.
-        """
-        if not table:
-            table.extend(composition_table(caps, demand))
+        """Leaves whose arcs from j on hold a sum in [least, rest], read off the cut's table."""
         low, prefix = table[j]
         return prefix[rest + 1 - low] - prefix[max(least - low, 0)]
+
+    def crosses(residual: list[int], trees: list, j: int) -> bool:
+        """Whether one unit more on arc j of the cut lifts the node's flow.
+
+        The source tree must reach the arc's tail and the sink tree its
+        head.  A tree the node lacks is searched here and kept in
+        ``trees``, the sink tree only once the tail is reached.
+        """
+        if trees[0] is None:
+            trees[0] = residual_tree(net, residual, source)
+        if trees[0][to[slots[j] ^ 1]] < 0:
+            return False
+        if trees[1] is None:
+            trees[1] = residual_tree(net, residual, sink, 1)
+        return trees[1][to[slots[j]]] >= 0
 
     vector = list(net.max_capacities)
     root = [0] * (2 * net.arc_count)
@@ -145,16 +175,15 @@ def _search_cut(
     for p in positions:
         root[2 * p] = 0
     below = pruned = leaves = 0
-    stack = [(-1, 0, root, demand)]
+    stack = [(-1, 0, root, demand, [None, None])]
     while stack:
-        i, v, residual, rest = stack.pop()
+        i, v, residual, rest, trees = stack.pop()
         if i >= 0:
             vector[positions[i]] = v
             if rest and v < caps[i]:
-                step = residual.copy()
-                step[2 * positions[i]] += 1
-                if augment(net, step, 1)[0]:
-                    stack.append((i, v + 1, step, rest - 1))
+                if crosses(residual, trees, i):
+                    step = residual.copy()
+                    stack.append((i, v + 1, step, rest - 1, push_unit(net, step, slots[i], *trees)))
                 else:
                     # Arc i at v does not lift: the child at v has no d-MC, and v+1.. are below d.
                     pruned += leaves_below(i + 1, rest, rest)
@@ -162,14 +191,16 @@ def _search_cut(
                     continue
         j = i + 1
         if rest:
-            # rest <= suffix[j], so an arc is left: raise it to the least value that can still reach d.
+            # rest <= suffix[j], so an arc is left: raise it to the least value that can still reach d,
+            # one unit at a time, so that it is full whenever a tree is searched.
             low = max(0, rest - suffix[j + 1])
-            if low:
-                residual[2 * positions[j]] = low
-                if augment(net, residual, low)[0] < low:
+            for _ in range(low):
+                if not crosses(residual, trees, j):
                     below += leaves_below(j, rest, rest)
-                    continue
-            stack.append((j, low, residual, rest - low))
+                    break
+                trees = push_unit(net, residual, slots[j], *trees)
+            else:
+                stack.append((j, low, residual, rest - low, trees))
             continue
         for p in positions[j:]:
             vector[p] = 0
@@ -177,6 +208,10 @@ def _search_cut(
         leaves += 1
         state = tuple(vector)
         flow = FlowState(net=net, residual=tuple(residual), value=demand)
+        vars(flow).update(
+            source_tree=trees[0] or residual_tree(net, residual, source),
+            sink_tree=trees[1] or residual_tree(net, residual, sink, 1),
+        )
         if not verify(net, state, demand, flow).is_dmc:
             counters.not_maximal += 1
         elif state in found:
@@ -186,7 +221,7 @@ def _search_cut(
             counters.accepted += 1
     counters.below_demand += below
     counters.not_maximal += pruned
-    return below + pruned + leaves
+    return table[0][1][-1], below + pruned + leaves
 
 
 def find_all_dmcs(net: Network, demand: int, cuts: list[MinCut]) -> SolveReport:
@@ -204,12 +239,14 @@ def find_all_dmcs(net: Network, demand: int, cuts: list[MinCut]) -> SolveReport:
         if not is_min_cut(net, cut):
             raise ValidationError(f"{tuple(cut)} is not a minimal cut of this network")
 
-    # Counting runs first, so a cut past the counting guard is refused before any search.
-    per_cut_bounds = [count_candidates(net, cut, demand) for cut in cuts]
+    # The guards run first, so a cut past the counting guard is refused before any search.
+    guarded = [cut_caps(net, cut, demand) for cut in cuts]
+    per_cut_bounds = []
     counters = OperationCounters()
     found: set[StateVector] = set()
-    for cut in cuts:
-        searched = _search_cut(net, cut, demand, counters, found)
+    for cut, caps in zip(cuts, guarded):
+        bound, searched = _search_cut(net, cut, caps, demand, counters, found)
+        per_cut_bounds.append(bound)
         counters.candidates_total += searched
         counters.candidates_per_cut.append(searched)
 

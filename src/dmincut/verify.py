@@ -5,19 +5,21 @@ unsaturated arc by one unit pushes the max flow above d.  ``classify``
 implements the sound residual-path form of that test on a maximum flow
 already in hand: with a max flow of value d in place, an extra unit on arc
 (u, v) opens an augmenting path exactly when the source reaches u and v
-reaches the sink in the residual graph, so one forward and one backward
-search classify every unsaturated arc at once instead of a fresh max-flow
+reaches the sink in the residual graph, so the flow's source tree and sink
+tree classify every unsaturated arc at once instead of a fresh max-flow
 computation per arc.  It reads the capacity state off the flow, and it is
 the only code that turns failing arcs into a :class:`Verdict`.
 ``verify`` is ``classify`` on ``max_flow(net, X)``, or on a maximum flow of
 X that the caller already holds, which it checks before use.
 
 Only the unsaturated arcs are asked about: one C-level pass over the state
-finds them, and the backward search's answer costs O(1) per asked arc.  At
-a leaf of the solver's search every arc off the cut is full, so a leaf's
-unsaturated arcs are among its cut's, and classifying it costs its two
-searches plus Python-level work in O(k) for a cut of k arcs, not a
-Python-level scan of all m arcs.
+finds them, and each costs two reads of the trees.  A flow from
+:func:`~dmincut.maxflow.max_flow` brings its source tree, so a verdict at
+the demand costs one backward search; a flow off the demand is rejected
+with none.  At a leaf of the solver's search every arc off the cut is
+full, so a leaf's unsaturated arcs are among its cut's, and the leaf's
+flow brings both trees: classifying it runs no search and costs
+Python-level work in O(k) for a cut of k arcs, not a scan of all m arcs.
 
 ``verify_flawed`` implements a historically published acceptance test that
 drops the W(X) = d hypothesis and takes plain source-sink reachability in
@@ -31,10 +33,11 @@ check-flaw takes its evidence from that same flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 from operator import add
 
 from .errors import ValidationError
-from .maxflow import FlowState, lifting_arcs, max_flow, residual_reachable
+from .maxflow import FlowState, lifts_by_one, max_flow, residual_reachable
 from .network import Network, StateVector, unsaturated_set
 
 
@@ -62,9 +65,10 @@ def _verdict(fs: FlowState, state: StateVector, demand: int) -> Verdict:
     """:func:`classify` of the maximum flow ``fs``, whose capacity state is ``state``."""
     if fs.value != demand:
         return Verdict(is_dmc=False, flow_value=fs.value, failing_arc=None)
-    unsaturated = unsaturated_set(fs.net, state)
-    failing = unsaturated - lifting_arcs(fs, unsaturated)
-    return Verdict(is_dmc=not failing, flow_value=fs.value, failing_arc=min(failing) if failing else None)
+    # Both trees are read at the demand; the unsaturated arcs are scanned in ascending order, and the
+    # first that does not lift is the witness.
+    failing = next(filterfalse(lifts_by_one(fs), sorted(unsaturated_set(fs.net, state))), None)
+    return Verdict(is_dmc=failing is None, flow_value=fs.value, failing_arc=failing)
 
 
 def classify(fs: FlowState, demand: int) -> Verdict:

@@ -28,6 +28,15 @@ def fig1_prob():
     return net, parse_edge_distribution(text, net)
 
 
+def patch_everywhere(monkeypatch, name: str, replacement) -> None:
+    """Bind ``replacement`` in place of ``maxflow.<name>`` in every module of the package that binds it."""
+    real = getattr(maxflow, name)
+    names = ["dmincut"] + [f"dmincut.{info.name}" for info in pkgutil.iter_modules(dmincut.__path__)]
+    for module in map(importlib.import_module, names):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, replacement)
+
+
 @pytest.fixture
 def max_flow_calls(monkeypatch):
     """The states of every ``max_flow`` call made through any module of the package."""
@@ -38,10 +47,7 @@ def max_flow_calls(monkeypatch):
         calls.append(state)
         return real(net, state)
 
-    names = ["dmincut"] + [f"dmincut.{info.name}" for info in pkgutil.iter_modules(dmincut.__path__)]
-    for module in map(importlib.import_module, names):
-        if getattr(module, "max_flow", None) is real:
-            monkeypatch.setattr(module, "max_flow", counting)
+    patch_everywhere(monkeypatch, "max_flow", counting)
     return calls
 
 
@@ -62,7 +68,7 @@ def verify_calls(monkeypatch):
 
 @pytest.fixture
 def residual_tree_calls(monkeypatch):
-    """The ``(start, backward)`` of every ``residual_tree`` call the max-flow module makes."""
+    """The ``(start, backward)`` of every ``residual_tree`` call made through any module of the package."""
     real = maxflow.residual_tree
     calls = []
 
@@ -70,5 +76,5 @@ def residual_tree_calls(monkeypatch):
         calls.append((start, backward))
         return real(net, residual, start, backward)
 
-    monkeypatch.setattr(maxflow, "residual_tree", counting)
+    patch_everywhere(monkeypatch, "residual_tree", counting)
     return calls

@@ -242,6 +242,27 @@ def test_check_flaw_runs_one_max_flow_per_candidate(capsys, max_flow_calls):
         assert len(max_flow_calls) == len(distinct_candidates(net, cuts, demand)) + 1
 
 
+def test_check_flaw_searches_backward_once_per_candidate_at_the_demand(capsys, residual_tree_calls):
+    # classify searches the sink tree of each candidate with W(X) = d and keeps it on the flow,
+    # where the evidence of a disagreement reads it again.  A candidate off the demand gets a
+    # backward search only for the evidence of its disagreement line.
+    net = parse_network(Path(FIG1).read_text())
+    residual_tree_calls.clear()
+    cuts = enumerate_min_cuts(net)
+    enumeration = residual_tree_calls.count((net.sink, 1))
+    backward, expected = [], []
+    for demand in range(9):
+        residual_tree_calls.clear()
+        code, out, _ = run(capsys, "check-flaw", FIG1, "--demand", str(demand))
+        assert code == 0
+        backward.append(residual_tree_calls.count((net.sink, 1)) - enumeration)
+        at_demand = [oracle.max_flow_value(net, v) == demand for v in distinct_candidates(net, cuts, demand)]
+        off_demand = [line for line in out.splitlines() if line.startswith("X=") and f" W(X)={demand} " not in line]
+        expected.append(sum(at_demand) + len(off_demand))
+    assert backward == expected
+    assert backward == [4, 13, 27, 44, 56, 59, 51, 37, 22]
+
+
 def test_check_flaw_single_arc_has_no_disagreements(capsys, tmp_path):
     net = tmp_path / "single.net"
     net.write_text("nodes 2 source 1 sink 2\nedge 1 1 2 4\n")

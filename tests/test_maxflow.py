@@ -349,6 +349,40 @@ def test_replaced_residual_is_searched_again(fig1, residual_tree_calls):
     assert lifting_arcs(zero, arcs) == lifting_arcs(zero_flow(fig1, saturated), arcs) != lifting_arcs(fs, arcs)
 
 
+def test_kept_sink_tree_is_not_part_of_the_state(fig1, residual_tree_calls):
+    # max_flow keeps no sink tree; the first read searches it once, and it then stays on the flow.
+    fs = max_flow(fig1, (3, 2, 3, 1, 2, 3))
+    assert "sink_tree" not in vars(fs)
+    residual_tree_calls.clear()
+    tree = fs.sink_tree
+    assert fs.sink_tree is tree
+    assert residual_tree_calls == [(fig1.sink, 1)]
+    assert tree == residual_tree(fig1, fs.residual, fig1.sink, 1)
+    fresh = FlowState(net=fig1, residual=fs.residual, value=fs.value)
+    assert "sink_tree" in vars(fs) and "sink_tree" not in vars(fresh)
+    assert fs == fresh and hash(fs) == hash(fresh)
+    assert repr(fs) == repr(fresh)
+    assert "sink_tree" not in repr(fs)
+    # replace builds a new state, which searches its own residual again.
+    again = replace(fs)
+    assert "sink_tree" not in vars(again) and "source_tree" not in vars(again)
+
+
+def test_lifting_arcs_runs_no_search_when_both_trees_are_kept(fig1, residual_tree_calls):
+    fs = max_flow(fig1, (0, 2, 3, 1, 3, 3))
+    residual_tree_calls.clear()
+    assert lifting_arcs(fs, every_arc(fig1)) == {1, 2, 3}
+    assert residual_tree_calls == [(fig1.sink, 1)]
+    residual_tree_calls.clear()
+    assert lifting_arcs(fs, every_arc(fig1)) == {1, 2, 3}
+    assert lifting_arcs(fs, [1, 4]) == {1}
+    assert residual_tree_calls == []
+    # Any trees a caller keeps are read as they are: empty ones lift nothing.
+    vars(fs).update(source_tree=[-1] * (fig1.node_count + 1), sink_tree=[-1] * (fig1.node_count + 1))
+    assert lifting_arcs(fs, every_arc(fig1)) == set()
+    assert residual_tree_calls == []
+
+
 def test_out_slots_pairs_each_slot_with_its_head():
     rng = random.Random(110)
     for _ in range(200):

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from dmincut import (  # noqa: E402
     Arc,
     EdgeDistribution,
+    FlowState,
     Network,
     ValidationError,
     classify,
@@ -22,7 +23,9 @@ from dmincut import (  # noqa: E402
     max_flow_value,
     parse_edge_distribution,
     parse_network,
+    residual_tree,
 )
+from dmincut.maxflow import augment, push_unit  # noqa: E402
 
 from helpers import (  # noqa: E402
     assert_feasible,
@@ -141,6 +144,48 @@ def test_lifting_at_a_dmc_lifts_at_every_ancestor(net):
                     for arc_id in cut[: i + 1]:
                         if leaf[arc_id - 1] < net.max_capacities[arc_id - 1]:
                             assert max_flow_value(net, bump(net, ancestor, arc_id)) == assigned + 1
+
+
+def reached(tree) -> set[int]:
+    return {v for v in range(1, len(tree)) if tree[v] >= 0}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(networks(max_arcs=8), st.data())
+def test_a_unit_pushed_along_the_two_trees_is_the_augmentation_it_replaces(net, data):
+    # The search's step, on a partial state of a minimal cut whose max flow saturates the cut: a
+    # unit more on a cut arc lifts the flow exactly when the source tree reaches its tail and the
+    # sink tree its head, and push_unit sends it.  Steps follow each other on the trees push_unit
+    # keeps, as the search's nodes inherit them.
+    assume(net.sink in reachable_from_source(net))
+    cut = data.draw(st.sampled_from(enumerate_min_cuts(net)))
+    state = list(net.max_capacities)
+    for arc_id in cut:
+        state[arc_id - 1] = data.draw(st.integers(0, net.max_capacities[arc_id - 1]))
+    fs = max_flow(net, tuple(state))
+    assume(fs.value == sum(state[arc_id - 1] for arc_id in cut))
+    residual, value, trees = list(fs.residual), fs.value, [fs.source_tree, fs.sink_tree]
+    to = net.slot_heads
+    for arc_id in data.draw(st.lists(st.sampled_from(cut), max_size=6)):
+        slot = 2 * arc_id - 2
+        trees = [tree or residual_tree(net, residual, start, backward)
+                 for tree, start, backward in zip(trees, (net.source, net.sink), (0, 1))]
+        raised = residual.copy()
+        raised[slot] += 1
+        lifts = trees[0][to[slot ^ 1]] >= 0 and trees[1][to[slot]] >= 0
+        assert augment(net, raised, 1)[0] == lifts
+        if not lifts:
+            continue
+        trees = push_unit(net, residual, slot, *trees)
+        state[arc_id - 1] += 1
+        value += 1
+        assert_feasible(FlowState(net=net, residual=tuple(residual), value=value), state)
+        for tree, start, backward in zip(trees, (net.source, net.sink), (0, 1)):
+            if tree is None:
+                continue
+            # A kept tree reaches what a fresh search reaches, by entries that still have room.
+            assert reached(tree) == reached(residual_tree(net, residual, start, backward))
+            assert all(residual[tree[v] ^ backward] > 0 for v in reached(tree) - {start})
 
 
 @st.composite

@@ -7,6 +7,7 @@ import pytest
 from dmincut import (
     OperationCounters,
     SolveReport,
+    StateSpaceLimitError,
     ValidationError,
     audit_complexity,
     brute_force_dmcs,
@@ -21,7 +22,9 @@ from dmincut import (
     unsaturated_set,
     verify,
 )
+from dmincut import candidates as candidates_module
 from dmincut import cuts as cuts_module
+from dmincut import solver as solver_module
 from dmincut.network import parse_network
 
 from conftest import REPO_ROOT
@@ -168,6 +171,55 @@ def test_grid_search_matches_the_reference_with_pinned_leaves(max_flow_calls, ve
             assert (c.candidates_total, len(report.dmcs), len(verify_calls)) == (candidates, dmcs, leaves)
             assert (c.below_demand, c.not_maximal, c.accepted, c.duplicates_removed) == partition
         assert (report.dmcs, c.duplicates_removed) == reference_dmcs(net, demand, cuts)
+
+
+def test_search_counts_are_pinned(fig1, residual_tree_calls):
+    # A step looks its arc up in the source tree and the sink tree its node keeps and pushes one
+    # unit along them, so the searches are the trees a push emptied a slot of, and the ones a node
+    # never needed before.  On the grid, 26,610, 58,226 and 67,236 at d = 1..3 when every step ran
+    # an augmenting search and every leaf two more.
+    rng = random.Random("grid-4x4:1")
+    net = grid_network(4, 4, [rng.randint(1, 3) for _ in range(32)])
+    cuts = parse_cuts((REPO_ROOT / "perfbench" / "data" / "grid-4x4.cuts").read_text(), net)
+    counts = []
+    for demand in range(4):
+        residual_tree_calls.clear()
+        find_all_dmcs(net, demand, cuts)
+        counts.append(len(residual_tree_calls))
+    assert counts == [2_320, 10_167, 26_022, 34_791]
+    cuts = enumerate_min_cuts(fig1)
+    counts = []
+    for demand in range(10):
+        residual_tree_calls.clear()
+        find_all_dmcs(fig1, demand, cuts)
+        counts.append(len(residual_tree_calls))
+    # No 9-MC exists, so d = 9 counts the searches of the diagnostic's saturated max flow too.
+    assert counts == [8, 8, 11, 20, 28, 34, 34, 27, 19, 15]
+
+
+def test_each_cut_builds_one_table_after_every_cut_passed_the_guard(fig1, monkeypatch, residual_tree_calls):
+    real = solver_module.composition_table
+    built = []
+
+    def recording(caps, total):
+        built.append(caps)
+        return real(caps, total)
+
+    monkeypatch.setattr(solver_module, "composition_table", recording)
+    cuts = enumerate_min_cuts(fig1)
+    report = find_all_dmcs(fig1, 7, cuts)
+    # The table the bound is read from is the one the search reads its pruned subtrees from.
+    assert built == [[fig1.max_capacities[a - 1] for a in cut] for cut in cuts]
+    assert report.counters.candidates_per_cut == [count_candidates(fig1, cut, 7) for cut in cuts]
+    assert audit_complexity(report)
+    # At d = 7 the tables hold 6, 3, 6 and 16 cells.  A guard that refuses only the last cut
+    # refuses it before any table is built or any tree is searched for the first three.
+    built.clear()
+    residual_tree_calls.clear()
+    monkeypatch.setattr(candidates_module, "COMPOSITION_WORK_GUARD", 15)
+    with pytest.raises(StateSpaceLimitError, match="16 cells"):
+        find_all_dmcs(fig1, 7, cuts)
+    assert built == [] and residual_tree_calls == []
 
 
 def test_sweep_search_matches_the_reference_and_leaves_no_dmc_unverified(verify_calls):
