@@ -30,7 +30,7 @@ from .candidates import enumerate_candidates
 from .cuts import enumerate_min_cuts, format_cuts, parse_cuts
 from .errors import DmincutError, StateSpaceLimitError
 from .maxflow import lifting_arcs, max_flow
-from .network import format_vector, parse_edge_distribution, parse_network, unsaturated_set
+from .network import format_vector, parse_edge_distribution, parse_network, unsaturated_arcs
 from .oracle import brute_force_dmcs, reliability_exhaustive, reliability_from_dmcs
 from .solver import audit_complexity, find_all_dmcs, infeasibility
 from .verify import classify, verify_flawed
@@ -114,7 +114,7 @@ def cmd_check_flaw(args) -> int:
             continue
         disagreements += 1
         # A unit raises a max flow by at most one, and exactly on the lifting arcs.
-        unsaturated = sorted(unsaturated_set(net, vector))
+        unsaturated = list(unsaturated_arcs(net, vector))
         lifted = lifting_arcs(fs, unsaturated)
         evidence = " ".join(f"e{arc_id}:W={sound.flow_value + (arc_id in lifted)}" for arc_id in unsaturated)
         verdicts = (

@@ -7,8 +7,8 @@ units in place".  Max flow augments along shortest residual paths
 (Edmonds-Karp): each path is the one a :func:`residual_tree` search
 entered the sink by, walked back through the entry slots.  Slots are
 traversed in ascending arc-id order, so identical inputs always produce the
-identical flow, not merely the same value.  That loop is :func:`augment`,
-and only :func:`max_flow` runs it, from the zero flow.
+identical flow, not merely the same value.  That loop is
+:func:`max_flow`'s, from the zero flow.
 
 Residual bookkeeping is per arc (slot pair), which makes anti-parallel
 arcs work without node-splitting tricks, and a :class:`FlowState` keeps
@@ -21,7 +21,10 @@ tree reaches u and the sink tree reaches v.  A :class:`FlowState` keeps
 both once searched, as :attr:`FlowState.source_tree` and
 :attr:`FlowState.sink_tree`; the search that ends a max flow, the one that
 no longer reaches the sink, is its source tree, so classifying a max flow
-costs one backward search more, not two.
+costs one backward search more, not two.  :func:`stuck_arcs` is that
+classification, one arc at a time and lazily, so a caller that needs
+only the first arc that does not lift stops there; :func:`lifting_arcs`
+is its complement.
 
 A kept tree need not be a fresh search's entries, only as good: it
 reaches exactly the nodes a fresh :func:`residual_tree` reaches, and each
@@ -35,14 +38,12 @@ The solver's candidate search steps so from node to node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
-from typing import Callable
 
 from .network import Network, StateVector
 
 __all__ = [
-    "FlowState", "augment", "max_flow", "residual_tree", "push_unit", "residual_reachable",
-    "lifts_by_one", "lifting_arcs",
+    "FlowState", "max_flow", "residual_tree", "push_unit", "residual_reachable", "stuck_arcs",
+    "lifting_arcs",
 ]
 
 
@@ -131,43 +132,28 @@ def residual_tree(net: Network, residual, start: int, backward: int = 0) -> list
     return entry
 
 
-def augment(net: Network, residual: list[int], limit=inf) -> tuple[int, list[int] | None]:
-    """Push flow along shortest residual paths, in place, until ``limit`` units or no path.
-
-    This is :func:`max_flow`'s loop.  Each path is the one a
-    :func:`residual_tree` search entered the sink by, walked back through
-    the entry slots.  Returns the units sent and,
-    when the loop stopped because a search missed the sink, that search's
-    entries; stopping at ``limit`` runs no further search and returns None.
-    """
+def max_flow(net: Network, state: StateVector) -> FlowState:
+    """Send as much flow as possible from source to sink under ``state``, along shortest paths."""
+    net.validate_state(state)
     source, sink = net.source, net.sink
     to = net.slot_heads
+    residual = [0] * (2 * net.arc_count)
+    residual[::2] = state
     total = 0
-    while total < limit:
+    while True:
         entry = residual_tree(net, residual, source)
         if entry[sink] < 0:
-            return total, entry
+            break
         path: list[int] = []
         v = sink
         while v != source:
             path.append(entry[v])
             v = to[entry[v] ^ 1]
         sent = min(residual[slot] for slot in path)
-        if sent > limit - total:
-            sent = limit - total
         for slot in path:
             residual[slot] -= sent
             residual[slot ^ 1] += sent
         total += sent
-    return total, None
-
-
-def max_flow(net: Network, state: StateVector) -> FlowState:
-    """Send as much flow as possible from source to sink under ``state``."""
-    net.validate_state(state)
-    residual = [0] * (2 * net.arc_count)
-    residual[::2] = state
-    total, entry = augment(net, residual)
     fs = FlowState(net=net, residual=tuple(residual), value=total)
     # The search that missed the sink ran on this very residual.
     fs.__dict__["source_tree"] = entry
@@ -226,28 +212,30 @@ def residual_reachable(fs: FlowState) -> bool:
     return fs.source_tree[fs.net.sink] >= 0
 
 
-def lifts_by_one(fs: FlowState) -> Callable[[int], bool]:
-    """The test "the source tree reaches arc a's tail and the sink tree its head" on the flow ``fs``.
+def stuck_arcs(fs: FlowState, arc_ids):
+    """The arcs among ``arc_ids``, in their order, whose tail the source tree or whose head the sink tree misses.
 
     When ``fs`` is a maximum flow, every new augmenting path crosses a
-    raised arc, so this is exactly "arc a, raised by one unit, lifts the
-    max flow above ``fs.value``".  Both trees are read here, kept or
-    searched once, and each arc asked about then costs O(1).  Arc ids are
-    not checked: every caller draws them from the network.
+    raised arc, so these are exactly the arcs that, raised by one unit,
+    do not lift the max flow above ``fs.value``.  Both trees are read
+    here, kept or searched once, and each arc drawn from the returned
+    iterator then costs two reads, so a caller that needs only the first
+    stuck arc stops there.  Arc ids are not checked: every caller draws
+    them from the network.
     """
     heads, from_source, to_sink = fs.net.slot_heads, fs.source_tree, fs.sink_tree
-    return lambda a: from_source[heads[2 * a - 1]] >= 0 and to_sink[heads[2 * a - 2]] >= 0
+    return (a for a in arc_ids if from_source[heads[2 * a - 1]] < 0 or to_sink[heads[2 * a - 2]] < 0)
 
 
 def lifting_arcs(fs: FlowState, arc_ids) -> set[int]:
-    """The arcs among ``arc_ids`` that :func:`lifts_by_one` accepts.
+    """The arcs among ``arc_ids`` that :func:`stuck_arcs` does not report.
 
     A caller that needs a few arcs, such as check-flaw asking about the
     unsaturated ones, pays for those, not for all m, and a flow whose
     trees are kept runs no search here.  On the zero flow with a cut's
     arcs closed and every other arc at one unit, which is maximal when the
-    cut disconnects, they are, asked about every arc, the cut arcs whose
-    reopening restores a source-sink path;
-    :func:`dmincut.cuts.is_min_cut` decides minimality so.
+    cut disconnects, they are the cut arcs whose reopening restores a
+    source-sink path; :func:`dmincut.cuts.is_min_cut` decides minimality so.
     """
-    return set(filter(lifts_by_one(fs), arc_ids))
+    arc_ids = set(arc_ids)
+    return arc_ids.difference(stuck_arcs(fs, arc_ids))

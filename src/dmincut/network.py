@@ -146,9 +146,14 @@ class Network:
                 raise ValidationError(f"arc {arc.index}: capacity {x} outside [0, {arc.max_capacity}]")
 
 
+def unsaturated_arcs(net: Network, state: StateVector):
+    """Ids of arcs strictly below their maximum capacity, ascending, as a lazy iterator."""
+    return compress(range(1, net.arc_count + 1), map(lt, state, net.max_capacities))
+
+
 def unsaturated_set(net: Network, state: StateVector) -> set[int]:
     """Ids of arcs strictly below their maximum capacity."""
-    return set(compress(range(1, net.arc_count + 1), map(lt, state, net.max_capacities)))
+    return set(unsaturated_arcs(net, state))
 
 
 def format_vector(state: StateVector) -> str:

@@ -43,7 +43,10 @@ over the free arcs j.. summing to r.  Row 0 holds the cut's candidate
 count, the bound of the report, and a pruned subtree's leaves are read
 off the other rows: a prune at depth j costs two reads, since the child's
 subtree is one rest and the larger values at its depth are a range of
-rests.  Only the table of the cut being searched is alive.
+rests.  Only the table of the cut being searched is alive.  The row 0
+counts also keep a running total, and the solve is refused before the
+search of the cut that takes it past ``CANDIDATE_SEARCH_GUARD``; the
+guard charges no work per step.
 
 Each arc starts at the least value from which the arcs after it can
 still hold the rest of d, and is raised to it one unit at a time, so the
@@ -75,10 +78,15 @@ from itertools import accumulate
 # count_candidates and enumerate_candidates are unused here: the benchmark tracer wraps both names in this module.
 from .candidates import composition_table, count_candidates, cut_caps, enumerate_candidates  # noqa: F401
 from .cuts import MinCut, is_min_cut
-from .errors import ValidationError
+from .errors import StateSpaceLimitError, ValidationError
 from .maxflow import FlowState, max_flow, push_unit, residual_tree
 from .network import Network, StateVector
 from .verify import verify
+
+# Candidates one solve may search, summed over its cuts in order: each cut's count is row 0 of its
+# counting table, charged before its search.  The largest input the tests and benchmarks solve, the
+# 5x5 grid at d = 3, has 14,149,574.
+CANDIDATE_SEARCH_GUARD = 10**8
 
 
 @dataclass
@@ -125,14 +133,14 @@ def infeasibility(net: Network, demand: int) -> str | None:
 
 
 def _search_cut(
-    net: Network, cut: MinCut, caps: list[int], demand: int, counters: OperationCounters,
+    net: Network, cut: MinCut, caps: list[int], table: list, demand: int, counters: OperationCounters,
     found: set[StateVector],
-) -> tuple[int, int]:
-    """Walk the candidate tree of ``cut``; return its candidate count and how many candidates it accounted for.
+) -> int:
+    """Walk the candidate tree of ``cut``; return how many candidates it accounted for.
 
-    ``caps`` are the cut's maximum capacities, already past the guards.
-    The count is row 0 of their ``composition_table`` at ``demand``, the
-    table the prunes are read from, which dies with the call.
+    ``caps`` are the cut's maximum capacities, already past the guards,
+    and ``table`` their non-empty ``composition_table`` at ``demand``,
+    which the prunes are read from.
 
     A stack frame ``(i, v, residual, rest, trees)`` is the node with arc i
     of the cut at v, ``rest`` units of the demand still to assign, in
@@ -141,9 +149,6 @@ def _search_cut(
     residual and the list.  Depth -1 is the root, where nothing is
     assigned yet.
     """
-    table = composition_table(caps, demand)
-    if not table:
-        return 0, 0
     positions = [arc_id - 1 for arc_id in cut]
     slots = [2 * p for p in positions]
     suffix = [*accumulate(reversed(caps), initial=0)][::-1]
@@ -221,7 +226,7 @@ def _search_cut(
             counters.accepted += 1
     counters.below_demand += below
     counters.not_maximal += pruned
-    return table[0][1][-1], below + pruned + leaves
+    return below + pruned + leaves
 
 
 def find_all_dmcs(net: Network, demand: int, cuts: list[MinCut]) -> SolveReport:
@@ -242,11 +247,19 @@ def find_all_dmcs(net: Network, demand: int, cuts: list[MinCut]) -> SolveReport:
     # The guards run first, so a cut past the counting guard is refused before any search.
     guarded = [cut_caps(net, cut, demand) for cut in cuts]
     per_cut_bounds = []
+    bound = 0
     counters = OperationCounters()
     found: set[StateVector] = set()
-    for cut, caps in zip(cuts, guarded):
-        bound, searched = _search_cut(net, cut, caps, demand, counters, found)
-        per_cut_bounds.append(bound)
+    for index, (cut, caps) in enumerate(zip(cuts, guarded), start=1):
+        table = composition_table(caps, demand)
+        per_cut_bounds.append(table[0][1][-1] if table else 0)
+        bound += per_cut_bounds[-1]
+        if bound > CANDIDATE_SEARCH_GUARD:
+            raise StateSpaceLimitError(
+                f"cuts 1..{index} of {len(cuts)} have {bound} candidates at demand {demand},"
+                f" above the guard CANDIDATE_SEARCH_GUARD={CANDIDATE_SEARCH_GUARD}"
+            )
+        searched = _search_cut(net, cut, caps, table, demand, counters, found) if table else 0
         counters.candidates_total += searched
         counters.candidates_per_cut.append(searched)
 
@@ -256,7 +269,7 @@ def find_all_dmcs(net: Network, demand: int, cuts: list[MinCut]) -> SolveReport:
         cut_count=len(cuts),
         arc_count=net.arc_count,
         max_candidates_per_cut=max(per_cut_bounds),
-        total_candidate_bound=sum(per_cut_bounds),
+        total_candidate_bound=bound,
         dmcs=tuple(sorted(found)),
         counters=counters,
         infeasible_demand=diagnostic is not None,

@@ -13,7 +13,9 @@ the only code that turns failing arcs into a :class:`Verdict`.
 X that the caller already holds, which it checks before use.
 
 Only the unsaturated arcs are asked about: one C-level pass over the state
-finds them, and each costs two reads of the trees.  A flow from
+yields them in ascending order, each costs two reads of the trees
+(:func:`~dmincut.maxflow.stuck_arcs`), and the verdict ends at the first
+that does not lift, which is its witness.  A flow from
 :func:`~dmincut.maxflow.max_flow` brings its source tree, so a verdict at
 the demand costs one backward search; a flow off the demand is rejected
 with none.  At a leaf of the solver's search every arc off the cut is
@@ -33,12 +35,11 @@ check-flaw takes its evidence from that same flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import filterfalse
 from operator import add
 
 from .errors import ValidationError
-from .maxflow import FlowState, lifts_by_one, max_flow, residual_reachable
-from .network import Network, StateVector, unsaturated_set
+from .maxflow import FlowState, max_flow, residual_reachable, stuck_arcs
+from .network import Network, StateVector, unsaturated_arcs
 
 
 @dataclass(frozen=True)
@@ -65,9 +66,9 @@ def _verdict(fs: FlowState, state: StateVector, demand: int) -> Verdict:
     """:func:`classify` of the maximum flow ``fs``, whose capacity state is ``state``."""
     if fs.value != demand:
         return Verdict(is_dmc=False, flow_value=fs.value, failing_arc=None)
-    # Both trees are read at the demand; the unsaturated arcs are scanned in ascending order, and the
-    # first that does not lift is the witness.
-    failing = next(filterfalse(lifts_by_one(fs), sorted(unsaturated_set(fs.net, state))), None)
+    # Both trees are read at the demand; the unsaturated arcs come in ascending order, and the first
+    # that does not lift is the witness.
+    failing = next(stuck_arcs(fs, unsaturated_arcs(fs.net, state)), None)
     return Verdict(is_dmc=failing is None, flow_value=fs.value, failing_arc=failing)
 
 

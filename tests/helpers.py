@@ -191,6 +191,36 @@ def min_cuts_by_subsets(net: Network):
     return sorted(found, key=lambda c: (len(c), c))
 
 
+def min_cuts_by_node_subsets(net: Network):
+    """All minimal cuts as the out-arc sets of node subsets S with the source and not the sink.
+
+    Independent of cuts.py, and fit for networks with too many arcs for
+    :func:`min_cuts_by_subsets`: every minimal cut C is the out-arc set of
+    the nodes the source reaches without C, and an out-arc set C of such
+    an S is minimal iff each arc of C, put back alone, reconnects: the
+    source reaches its tail and its head reaches the sink, without C.
+    """
+    inner = [v for v in range(1, net.node_count + 1) if v not in (net.source, net.sink)]
+    # The arcs turned around, source and sink swapped: what reaches the sink, searched from it.
+    turned = Network(
+        node_count=net.node_count, source=net.sink, sink=net.source,
+        arcs=tuple(Arc(a.index, a.head, a.tail, a.max_capacity) for a in net.arcs),
+    )
+    seen, found = set(), []
+    for r in range(len(inner) + 1):
+        for combo in itertools.combinations(inner, r):
+            side = {net.source, *combo}
+            cut = tuple(a.index for a in net.arcs if a.tail in side and a.head not in side)
+            if cut in seen:
+                continue
+            seen.add(cut)
+            forward = reachable_from_source(net, frozenset(cut))
+            backward = reachable_from_source(turned, frozenset(cut))
+            if all(net.arcs[a - 1].tail in forward and net.arcs[a - 1].head in backward for a in cut):
+                found.append(cut)
+    return sorted(found, key=lambda c: (len(c), c))
+
+
 def box(net: Network):
     return itertools.product(*(range(w + 1) for w in net.max_capacities))
 

@@ -387,6 +387,20 @@ def test_huge_candidate_streams_are_refused(capsys, tmp_path):
         assert "COMPOSITION_WORK_GUARD" in err
 
 
+def test_candidate_search_guard_exits_4(capsys, tmp_path):
+    # 60 parallel unit arcs at demand 30 pass the counting guard with 1,800 cells, but all
+    # C(60, 30) ~ 1.2*10^17 candidates are d-MCs.  solve refuses before it searches or prints any.
+    net = tmp_path / "parallel60.net"
+    net.write_text("nodes 2 source 1 sink 2\n" + "".join(f"edge {a} 1 2 1\n" for a in range(1, 61)))
+    for extra in ((), ("--json",)):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "solve", str(net), "--demand", "30", *extra)
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (4, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "CANDIDATE_SEARCH_GUARD" in err
+
+
 def test_node_count_above_guard_exits_2(capsys, tmp_path):
     net = tmp_path / "huge.net"
     net.write_text("nodes 1000001 source 1 sink 2\nedge 1 1 2 1\n")

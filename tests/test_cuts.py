@@ -20,7 +20,7 @@ from dmincut.cli import main
 from dmincut.network import parse_network
 
 from conftest import FIXTURES
-from helpers import grid_network, min_cuts_by_subsets, random_network
+from helpers import grid_network, min_cuts_by_node_subsets, min_cuts_by_subsets, random_network
 
 
 def test_fig1_min_cuts(fig1):
@@ -104,6 +104,30 @@ def test_enumeration_matches_subset_oracle_up_to_twelve_arcs():
     for _ in range(6):
         net = random_network(rng, max_nodes=6, max_arcs=12, max_cap=2)
         assert enumerate_min_cuts(net) == min_cuts_by_subsets(net)
+
+
+def test_enumeration_matches_the_subset_filters_on_a_few_hundred_networks_and_the_grids():
+    rng = random.Random(2604)
+    shapes = dict.fromkeys(("anti-parallel", "into the source", "out of the sink"), 0)
+    for _ in range(300):
+        net = random_network(rng)
+        expected = min_cuts_by_subsets(net)
+        assert enumerate_min_cuts(net) == expected == min_cuts_by_node_subsets(net)
+        # A fresh copy holds no proven cut, so is_min_cut searches every subset.
+        fresh, expected = replace(net), set(expected)
+        ids = [a.index for a in net.arcs]
+        for r in range(len(ids) + 1):
+            for subset in itertools.combinations(ids, r):
+                assert is_min_cut(fresh, subset) == (subset in expected)
+        ends = {(a.tail, a.head) for a in net.arcs}
+        shapes["anti-parallel"] += any((h, t) in ends for t, h in ends)
+        shapes["into the source"] += any(h == net.source for _, h in ends)
+        shapes["out of the sink"] += any(t == net.sink for t, _ in ends)
+    assert min(shapes.values()) >= 30, shapes
+    # Too many arcs to filter every arc subset: every node subset instead.
+    for rows, cols in ((2, 6), (3, 4), (4, 4)):
+        net = grid_network(rows, cols, itertools.repeat(1))
+        assert enumerate_min_cuts(net) == min_cuts_by_node_subsets(net)
 
 
 def test_grid_4x4_cut_count_and_no_cut_contains_another():

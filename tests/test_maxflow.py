@@ -18,6 +18,7 @@ from dmincut import (
     residual_tree,
     unsaturated_set,
 )
+from dmincut.maxflow import stuck_arcs
 from dmincut.network import parse_network
 
 from helpers import (
@@ -289,6 +290,21 @@ def test_lifting_arcs_matches_direct_inequality_per_unsaturated_arc():
             expected = max_flow_value(net, bump(net, state, arc_id)) > fs.value
             assert (arc_id in lifting) is expected
             checked += 1
+
+
+def test_stuck_arcs_are_the_bumps_that_leave_the_oracle_flow_in_the_order_asked():
+    rng = random.Random(2606)
+    checked = 0
+    while checked < 400:
+        net = random_network(rng)
+        state = random_state(rng, net)
+        fs = max_flow(net, state)
+        asked = sorted(unsaturated_set(net, state))
+        rng.shuffle(asked)
+        stuck = [a for a in asked if max_flow_value(net, bump(net, state, a)) == fs.value]
+        assert list(stuck_arcs(fs, asked)) == stuck
+        assert lifting_arcs(fs, asked) == set(asked) - set(stuck)
+        checked += len(asked)
 
 
 def test_min_cut_equality_on_full_box():

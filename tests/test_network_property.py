@@ -25,7 +25,7 @@ from dmincut import (  # noqa: E402
     parse_network,
     residual_tree,
 )
-from dmincut.maxflow import augment, push_unit  # noqa: E402
+from dmincut.maxflow import push_unit  # noqa: E402
 
 from helpers import (  # noqa: E402
     assert_feasible,
@@ -166,14 +166,17 @@ def test_a_unit_pushed_along_the_two_trees_is_the_augmentation_it_replaces(net, 
     assume(fs.value == sum(state[arc_id - 1] for arc_id in cut))
     residual, value, trees = list(fs.residual), fs.value, [fs.source_tree, fs.sink_tree]
     to = net.slot_heads
-    for arc_id in data.draw(st.lists(st.sampled_from(cut), max_size=6)):
+    steps = data.draw(st.lists(st.sampled_from(cut), max_size=6))
+    # Room for every step above the maxima, for the oracle's flow of the raised state.
+    wide = replace(net, arcs=tuple(replace(a, max_capacity=a.max_capacity + len(steps)) for a in net.arcs))
+    for arc_id in steps:
         slot = 2 * arc_id - 2
         trees = [tree or residual_tree(net, residual, start, backward)
                  for tree, start, backward in zip(trees, (net.source, net.sink), (0, 1))]
-        raised = residual.copy()
-        raised[slot] += 1
+        raised = state.copy()
+        raised[arc_id - 1] += 1
         lifts = trees[0][to[slot ^ 1]] >= 0 and trees[1][to[slot]] >= 0
-        assert augment(net, raised, 1)[0] == lifts
+        assert max_flow_value(wide, tuple(raised)) == value + lifts
         if not lifts:
             continue
         trees = push_unit(net, residual, slot, *trees)

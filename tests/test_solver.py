@@ -1,5 +1,7 @@
 import json
+import math
 import random
+import time
 from dataclasses import asdict, replace
 
 import pytest
@@ -220,6 +222,32 @@ def test_each_cut_builds_one_table_after_every_cut_passed_the_guard(fig1, monkey
     with pytest.raises(StateSpaceLimitError, match="16 cells"):
         find_all_dmcs(fig1, 7, cuts)
     assert built == [] and residual_tree_calls == []
+
+
+def test_candidate_search_guard_refuses_before_the_cut_that_passes_it(fig1, monkeypatch, residual_tree_calls):
+    # 60 parallel unit arcs at demand 30: a counting table of 1,800 cells, but C(60, 30) candidates,
+    # every one a d-MC.  The solve is refused before any tree is searched.
+    net = parse_network("nodes 2 source 1 sink 2\n" + "".join(f"edge {a} 1 2 1\n" for a in range(1, 61)))
+    cuts = enumerate_min_cuts(net)
+    residual_tree_calls.clear()
+    started = time.perf_counter()
+    with pytest.raises(StateSpaceLimitError, match=f"{math.comb(60, 30)} candidates.*CANDIDATE_SEARCH_GUARD"):
+        find_all_dmcs(net, 30, cuts)
+    assert time.perf_counter() - started < 1.0 and residual_tree_calls == []
+    # The guard charges each cut's count to a running total: on fig1 at d = 7 the cuts count
+    # 6, 3, 6 and 23.  A limit of 37 lets the first three cuts through and refuses the last before
+    # its search; at 38 the whole solve passes.
+    cuts = enumerate_min_cuts(fig1)
+    assert [count_candidates(fig1, cut, 7) for cut in cuts] == [6, 3, 6, 23]
+    monkeypatch.setattr(solver_module, "CANDIDATE_SEARCH_GUARD", 37)
+    searched = []
+    real = solver_module._search_cut
+    monkeypatch.setattr(solver_module, "_search_cut", lambda net, cut, *rest: searched.append(cut) or real(net, cut, *rest))
+    with pytest.raises(StateSpaceLimitError, match="cuts 1..4 of 4 have 38 candidates"):
+        find_all_dmcs(fig1, 7, cuts)
+    assert searched == cuts[:3]
+    monkeypatch.setattr(solver_module, "CANDIDATE_SEARCH_GUARD", 38)
+    assert find_all_dmcs(fig1, 7, cuts).total_candidate_bound == 38
 
 
 def test_sweep_search_matches_the_reference_and_leaves_no_dmc_unverified(verify_calls):

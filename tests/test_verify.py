@@ -14,7 +14,7 @@ from dmincut import (
     verify,
     verify_flawed,
 )
-from dmincut.maxflow import augment
+from dmincut.maxflow import push_unit, residual_tree
 from dmincut.network import parse_network
 
 from helpers import (
@@ -25,6 +25,7 @@ from helpers import (
     random_state,
     reachable_from_source,
     serialize_network,
+    verdict_by_set_formula,
     zero_flow,
 )
 
@@ -78,11 +79,20 @@ def test_verify_on_a_flow_in_hand_equals_verify_from_scratch():
         for _ in range(5):
             state = random_state(rng, net)
             lower = tuple(rng.randint(0, x) for x in state)
-            residual = list(max_flow(net, lower).residual)
+            start = max_flow(net, lower)
+            residual, value = list(start.residual), start.value
+            # Each arc goes from lower to state one unit at a time, and a unit that lifts the flow
+            # is pushed along the two trees.
             for i, (x, y) in enumerate(zip(state, lower)):
-                residual[2 * i] += x - y
-            value = max_flow(net, lower).value + augment(net, residual)[0]
+                for _ in range(x - y):
+                    trees = [residual_tree(net, residual, net.source), residual_tree(net, residual, net.sink, 1)]
+                    if trees[0][net.arcs[i].tail] >= 0 and trees[1][net.arcs[i].head] >= 0:
+                        push_unit(net, residual, 2 * i, *trees)
+                        value += 1
+                    else:
+                        residual[2 * i] += 1
             warm = FlowState(net=net, residual=tuple(residual), value=value)
+            assert_feasible(warm, state)
             assert value == max_flow_value(net, state)
             for demand in range(value + 2):
                 assert verify(net, state, demand, warm) == verify(net, state, demand)
@@ -135,6 +145,22 @@ def test_failing_arc_matches_definitional_minimum():
         ]
         assert verdict.failing_arc == failing[0]
         seen_failures += 1
+
+
+def test_failing_arc_is_the_lowest_of_the_set_formula(fig1):
+    # The verdict stops at the first unsaturated arc that does not lift; the set formula collects
+    # them all.  Both are read at W(X), where the arcs are examined, and one unit off it.
+    rng = random.Random(2605)
+    nets = [fig1] * 100 + [random_network(rng) for _ in range(300)]
+    failing = 0
+    for net in nets:
+        state = random_state(rng, net)
+        fs = max_flow(net, state)
+        for demand in (fs.value, fs.value + 1):
+            verdict = verify(net, state, demand)
+            assert (verdict.is_dmc, verdict.failing_arc) == verdict_by_set_formula(fs, state, demand)
+            failing += verdict.failing_arc is not None
+    assert failing > 100
 
 
 def test_verify_agrees_with_definition_on_full_box(fig1):
