@@ -23,16 +23,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import groupby
+from itertools import accumulate, groupby
 from pathlib import Path
 
-from .candidates import enumerate_candidates
+from .candidates import count_candidates, enumerate_candidates
 from .cuts import enumerate_min_cuts, format_cuts, parse_cuts
 from .errors import DmincutError, StateSpaceLimitError
 from .maxflow import lifting_arcs, max_flow
 from .network import format_vector, parse_edge_distribution, parse_network, unsaturated_arcs
 from .oracle import brute_force_dmcs, reliability_exhaustive, reliability_from_dmcs
-from .solver import audit_complexity, find_all_dmcs, infeasibility
+from .solver import audit_complexity, find_all_dmcs, infeasibility, refuse_candidates_past_guard
 from .verify import classify, verify_flawed
 
 EXIT_OK = 0
@@ -101,6 +101,10 @@ def cmd_check_flaw(args) -> int:
     _, net = _load_network(args)
     # A partial cut list is sound here: each listed candidate gets both verdicts.
     cuts = _load_cuts(args, net)
+    # The streams are merged, so every cut's candidates are charged before any is read.
+    totals = accumulate(count_candidates(net, cut, args.demand) for cut in cuts)
+    for index, total in enumerate(totals, start=1):
+        refuse_candidates_past_guard(total, index, len(cuts), args.demand)
     # A stream over ascending arc ids ascends in full-vector order, so merging the
     # streams and dropping repeats lists each candidate once, in sorted order.
     streams = [enumerate_candidates(net, sorted(cut), args.demand) for cut in cuts]

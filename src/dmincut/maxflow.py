@@ -38,6 +38,7 @@ The solver's candidate search steps so from node to node.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .network import Network, StateVector
 
@@ -45,26 +46,6 @@ __all__ = [
     "FlowState", "max_flow", "residual_tree", "push_unit", "residual_reachable", "stuck_arcs",
     "lifting_arcs",
 ]
-
-
-class _kept:
-    """A computed attribute stored in the instance on first read, like ``functools.cached_property``.
-
-    Before Python 3.12 ``cached_property`` takes a lock on every first
-    read, which costs as much as a small search; the solver's leaves are
-    flows whose trees it already holds.
-    """
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.name = compute.__name__
-        self.__doc__ = compute.__doc__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        instance.__dict__[self.name] = value = self.compute(instance)
-        return value
 
 
 @dataclass(frozen=True)
@@ -81,7 +62,7 @@ class FlowState:
     residual: tuple[int, ...]
     value: int
 
-    @_kept
+    @cached_property
     def source_tree(self) -> list[int]:
         """``residual_tree(net, residual, net.source)``, searched once and then kept.
 
@@ -93,7 +74,7 @@ class FlowState:
         """
         return residual_tree(self.net, self.residual, self.net.source)
 
-    @_kept
+    @cached_property
     def sink_tree(self) -> list[int]:
         """``residual_tree(net, residual, net.sink, backward=1)``, searched once and then kept.
 

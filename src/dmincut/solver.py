@@ -45,7 +45,8 @@ off the other rows: a prune at depth j costs two reads, since the child's
 subtree is one rest and the larger values at its depth are a range of
 rests.  Only the table of the cut being searched is alive.  The row 0
 counts also keep a running total, and the solve is refused before the
-search of the cut that takes it past ``CANDIDATE_SEARCH_GUARD``; the
+search of the cut that takes it past ``CANDIDATE_SEARCH_GUARD``
+(:func:`refuse_candidates_past_guard`, which check-flaw asks too); the
 guard charges no work per step.
 
 Each arc starts at the least value from which the arcs after it can
@@ -130,6 +131,19 @@ def infeasibility(net: Network, demand: int) -> str | None:
     if demand > top:
         return f"no {demand}-MC exists: demand {demand} exceeds the max flow {top} of the fully saturated network"
     return None
+
+
+def refuse_candidates_past_guard(total: int, index: int, cut_count: int, demand: int) -> None:
+    """Raise :class:`StateSpaceLimitError` when cuts 1..``index`` have ``total`` candidates, past the guard.
+
+    The caller adds up the cuts' candidate counts in order and asks after
+    each, before it searches or streams that cut.
+    """
+    if total > CANDIDATE_SEARCH_GUARD:
+        raise StateSpaceLimitError(
+            f"cuts 1..{index} of {cut_count} have {total} candidates at demand {demand},"
+            f" above the guard CANDIDATE_SEARCH_GUARD={CANDIDATE_SEARCH_GUARD}"
+        )
 
 
 def _search_cut(
@@ -254,11 +268,7 @@ def find_all_dmcs(net: Network, demand: int, cuts: list[MinCut]) -> SolveReport:
         table = composition_table(caps, demand)
         per_cut_bounds.append(table[0][1][-1] if table else 0)
         bound += per_cut_bounds[-1]
-        if bound > CANDIDATE_SEARCH_GUARD:
-            raise StateSpaceLimitError(
-                f"cuts 1..{index} of {len(cuts)} have {bound} candidates at demand {demand},"
-                f" above the guard CANDIDATE_SEARCH_GUARD={CANDIDATE_SEARCH_GUARD}"
-            )
+        refuse_candidates_past_guard(bound, index, len(cuts), demand)
         searched = _search_cut(net, cut, caps, table, demand, counters, found) if table else 0
         counters.candidates_total += searched
         counters.candidates_per_cut.append(searched)

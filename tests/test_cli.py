@@ -297,12 +297,37 @@ def test_mincuts_listing(capsys):
         ]
 
 
-def test_mincuts_disconnected_exits_2(capsys, tmp_path):
+def test_mincuts_disconnected_prints_the_empty_cut(capsys, tmp_path):
+    # The sink is unreachable: the one minimal cut is the empty set, as the oracle says.
     net = tmp_path / "disc.net"
     net.write_text("nodes 3 source 1 sink 3\nedge 1 1 2 1\nedge 2 3 2 1\n")
-    code, _, err = run(capsys, "mincuts", str(net))
-    assert code == 2
-    assert "unreachable" in err
+    assert run(capsys, "mincuts", str(net)) == (0, "cut 1\n", "")
+
+
+def test_disconnected_network_agrees_with_the_oracle(capsys, tmp_path):
+    net = tmp_path / "disc.net"
+    net.write_text(
+        "nodes 4 source 1 sink 4\nedge 1 1 2 2\nedge 2 2 3 1\nedge 3 4 3 1\n"
+        "prob 1 0.2 0.3 0.5\nprob 2 0.4 0.6\nprob 3 0.1 0.9\n"
+    )
+    code, listing, _ = run(capsys, "mincuts", str(net))
+    assert (code, listing) == (0, "cut 1\n")
+    cuts = tmp_path / "disc.cuts"
+    cuts.write_text(listing)
+    for demand in ("0", "1", "2"):
+        _, oracle_out, _ = run(capsys, "oracle", str(net), "--demand", demand)
+        code, out, err = run(capsys, "solve", str(net), "--demand", demand)
+        assert run(capsys, "solve", str(net), "--demand", demand, "--cuts", str(cuts)) == (code, out, err)
+        assert [line for line in out.splitlines() if not line.startswith("#")] == oracle_out.splitlines()
+        assert "# audit_ok=True" in out.splitlines()
+        # Only demand 0 is feasible, with the saturated vector as its one d-MC.
+        assert code == (0 if demand == "0" else 3)
+        for threshold in ("ge", "strict"):
+            by_dmcs = run(capsys, "reliability", str(net), "--demand", demand, "--threshold", threshold)
+            exhaustive = run(capsys, "reliability", str(net), "--demand", demand, "--threshold", threshold,
+                             "--method", "exhaustive")
+            assert by_dmcs == exhaustive
+            assert by_dmcs[0] == 0
 
 
 def test_mincuts_lists_every_cut_of_a_30_node_path(capsys, tmp_path):
@@ -389,12 +414,13 @@ def test_huge_candidate_streams_are_refused(capsys, tmp_path):
 
 def test_candidate_search_guard_exits_4(capsys, tmp_path):
     # 60 parallel unit arcs at demand 30 pass the counting guard with 1,800 cells, but all
-    # C(60, 30) ~ 1.2*10^17 candidates are d-MCs.  solve refuses before it searches or prints any.
+    # C(60, 30) ~ 1.2*10^17 candidates are d-MCs.  solve refuses before it searches or prints any,
+    # and check-flaw before it reads any candidate stream.
     net = tmp_path / "parallel60.net"
     net.write_text("nodes 2 source 1 sink 2\n" + "".join(f"edge {a} 1 2 1\n" for a in range(1, 61)))
-    for extra in ((), ("--json",)):
+    for argv in (("solve",), ("solve", "--json"), ("check-flaw",)):
         started = time.perf_counter()
-        code, out, err = run(capsys, "solve", str(net), "--demand", "30", *extra)
+        code, out, err = run(capsys, *argv, str(net), "--demand", "30")
         assert time.perf_counter() - started < 1.0
         assert (code, out) == (4, "")
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -40,8 +40,9 @@ def test_is_min_cut_fig1(fig1, fig1_text):
     # Not a cut: 1 -> 3 -> 2 -> 4 survives the removal of {1, 3, 6}.  Refusals
     # are not recorded, so the second call is refused by a search too.
     assert [is_min_cut(fig1, (1, 3, 6)) for _ in range(2)] == [False, False]
-    # A cut but not minimal.
+    # A cut but not minimal, and the empty set, which is no cut while the sink is reachable.
     assert not is_min_cut(fig1, (1, 2, 3, 4, 5, 6))
+    assert not is_min_cut(fig1, ())
     # The record of proven cuts belongs to one network object: with arc 4
     # turned to run 2 -> 3, {1, 3, 6} already cuts and {1, 3, 4, 6} is refused.
     flipped = replace(fig1, arcs=tuple(
@@ -73,10 +74,17 @@ def test_single_arc_network():
     assert enumerate_min_cuts(net) == [(1,)]
 
 
-def test_disconnected_network_rejected():
+def test_disconnected_network_has_the_empty_cut():
+    # The source cannot reach the sink, so the empty set is the one minimal cut, as the arc-subset filter says.
     net = parse_network("nodes 3 source 1 sink 3\nedge 1 1 2 1\nedge 2 3 2 1\n")
-    with pytest.raises(ValidationError, match="unreachable"):
-        enumerate_min_cuts(net)
+    assert enumerate_min_cuts(net) == min_cuts_by_subsets(net) == [()]
+    assert format_cuts([()]) == "cut 1\n"
+    # A fresh network object has no record of proven cuts, so these run the search.
+    fresh = parse_network("nodes 3 source 1 sink 3\nedge 1 1 2 1\nedge 2 3 2 1\n")
+    assert is_min_cut(fresh, ())
+    assert parse_cuts(format_cuts([()]), fresh) == [()]
+    with pytest.raises(NetworkParseError, match="^line 1: expected 'cut <id> <arc_id> ...'$"):
+        parse_cuts("cut\n", fresh)
 
 
 def test_enumeration_matches_subset_oracle_on_random_networks():
@@ -161,12 +169,13 @@ def test_cut_file_partial_list_allowed(fig1):
 
 
 def test_cut_file_invalid_cut_rejected(fig1, capsys, tmp_path):
-    with pytest.raises(ValidationError, match="not a minimal cut"):
-        parse_cuts("cut 1 1 3 6\n", fig1)
-    for command in ("solve", "check-flaw"):
-        assert refusal_on_the_command_line(capsys, tmp_path, "cut 1 1 3 6\n", command) == (
-            2, "error: line 1: (1, 3, 6) is not a minimal cut\n"
-        )
+    for text, cut in (("cut 1 1 3 6\n", "(1, 3, 6)"), ("cut 1\n", "()")):
+        with pytest.raises(ValidationError, match="not a minimal cut"):
+            parse_cuts(text, fig1)
+        for command in ("solve", "check-flaw"):
+            assert refusal_on_the_command_line(capsys, tmp_path, text, command) == (
+                2, f"error: line 1: {cut} is not a minimal cut\n"
+            )
 
 
 def test_cut_file_duplicate_rejected(fig1):
