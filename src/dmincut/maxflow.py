@@ -1,4 +1,4 @@
-"""Max-flow engine: shortest augmenting paths, residual trees and unit pushes.
+"""Max-flow engine: shortest augmenting paths, residual trees and pushes along them.
 
 The solver needs three primitives: the max-flow value W(X) of a network
 under a capacity state X, the residual graph of a feasible flow, and the
@@ -28,11 +28,13 @@ is its complement.
 
 A kept tree need not be a fresh search's entries, only as good: it
 reaches exactly the nodes a fresh :func:`residual_tree` reaches, and each
-entry slot has room.  :func:`push_unit` sends the unit such an arc lifts
-along the two trees, with no search, and tells which tree still holds for
+entry slot has room.  :func:`push` raises an arc by any number of units
+and sends them along the two trees, and tells which tree still holds for
 the new residual: a side whose path emptied no slot keeps its reachable
 set, since the room a push adds points back towards that tree's root.
-The solver's candidate search steps so from node to node.
+It is the one place that decides whether a unit lifts, and it searches
+a tree only when the caller lacks it or a push lost it.  The solver's
+candidate search steps and descends so from node to node.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from functools import cached_property
 from .network import Network, StateVector
 
 __all__ = [
-    "FlowState", "max_flow", "residual_tree", "push_unit", "residual_reachable", "stuck_arcs",
+    "FlowState", "max_flow", "residual_tree", "push", "residual_reachable", "stuck_arcs",
     "lifting_arcs",
 ]
 
@@ -141,45 +143,70 @@ def max_flow(net: Network, state: StateVector) -> FlowState:
     return fs
 
 
-def push_unit(net: Network, residual: list[int], slot: int, source_tree: list[int], sink_tree: list[int]) -> list:
-    """Raise the arc of ``slot`` by one unit and send that unit from the source to the sink, in place.
+def push(net: Network, residual: list[int], slot: int, units: int, trees: list) -> list | None:
+    """Raise the arc of ``slot`` by ``units`` and send them from the source to the sink, in place.
 
-    ``residual`` must hold a maximum flow, and the trees must be its source
-    tree and sink tree, with the first reaching the slot's tail and the
-    second its head: then no path had room to cross the slot, and the
-    unit, which becomes the slot's new flow, runs along the source tree's
-    entries to the tail, across the slot and along the sink tree's entries
-    to the sink.  The trees share no node, so that walk is a path, and the
-    flow stays feasible with value one higher; it is maximal, since a unit
+    ``residual`` must hold a maximum flow, and ``trees`` its source tree and
+    sink tree, None where not searched yet; such a tree is searched here and
+    stored in ``trees``, the sink tree only once the source tree reaches the
+    slot's tail, so the caller keeps what was searched.  A unit lifts the
+    flow exactly when the source tree reaches the slot's tail and the sink
+    tree its head: then no path had room to cross the slot, and the unit,
+    which becomes the slot's new flow, runs along the source tree's entries
+    to the tail, across the slot and along the sink tree's entries to the
+    sink.  The trees share no node, so that walk is a path, and the flow
+    stays feasible with value one higher; it is maximal, since a unit
     raises a max flow by at most one.
 
-    Returns ``[source_tree, sink_tree]`` for the new residual, with None
-    for a side whose path emptied a slot and must be searched again.  A
-    side whose path emptied none keeps its tree: each of its entries still
-    has room, and the room the push adds points towards the tree's root or
-    across the arc into the other tree, so it enters no node sooner.
+    Returns None once a unit does not lift, with the units before it sent.
+    Otherwise returns ``[source_tree, sink_tree]`` for the new residual,
+    with None for a side whose path emptied a slot and must be searched
+    again.  A side whose path emptied none keeps its tree: each of its
+    entries still has room, and the room a push adds points towards the
+    tree's root or across the arc into the other tree, so it enters no node
+    sooner.  So units follow one path until a slot on it empties: each
+    round sends as many as that path has room for, capped at the units
+    left, and then searches the trees it lost.  A single unit needs no
+    room walk, since every entry slot has room for one.
     """
-    to = net.slot_heads
-    residual[slot ^ 1] += 1
-    kept = [source_tree, sink_tree]
-    v = to[slot ^ 1]
-    while v != net.source:
-        s = source_tree[v]
-        residual[s] -= 1
-        residual[s ^ 1] += 1
-        if not residual[s]:
-            kept[0] = None
-        v = to[s ^ 1]
-    v = to[slot]
-    while v != net.sink:
-        # The sink tree entered v by a slot that has room in reverse, from v towards the sink.
-        s = sink_tree[v] ^ 1
-        residual[s] -= 1
-        residual[s ^ 1] += 1
-        if not residual[s]:
-            kept[1] = None
-        v = to[s]
-    return kept
+    to, source, sink = net.slot_heads, net.source, net.sink
+    tail, head = to[slot ^ 1], to[slot]
+    while units:
+        from_source = trees[0] = trees[0] or residual_tree(net, residual, source)
+        if from_source[tail] < 0:
+            return None
+        to_sink = trees[1] = trees[1] or residual_tree(net, residual, sink, 1)
+        if to_sink[head] < 0:
+            return None
+        sent = units
+        if units > 1:
+            # Each side's least room, along the slots the walks below push through.
+            for side, tree, v, root in ((0, from_source, tail, source), (1, to_sink, head, sink)):
+                while v != root:
+                    s = tree[v] ^ side
+                    sent = min(sent, residual[s])
+                    v = to[s ^ 1 ^ side]
+        residual[slot ^ 1] += sent
+        trees = [from_source, to_sink]
+        v = tail
+        while v != source:
+            s = from_source[v]
+            residual[s] -= sent
+            residual[s ^ 1] += sent
+            if not residual[s]:
+                trees[0] = None
+            v = to[s ^ 1]
+        v = head
+        while v != sink:
+            # The sink tree entered v by a slot that has room in reverse, from v towards the sink.
+            s = to_sink[v] ^ 1
+            residual[s] -= sent
+            residual[s ^ 1] += sent
+            if not residual[s]:
+                trees[1] = None
+            v = to[s]
+        units -= sent
+    return trees
 
 
 def residual_reachable(fs: FlowState) -> bool:

@@ -16,10 +16,12 @@ nothing back across it, so the residual's source tree stays on C's source
 side and its sink tree on C's sink side.  A unit more on a cut arc (u, v)
 therefore lifts the flow iff the source tree reaches u and the sink tree
 reaches v.  Each node keeps both trees, searched only when first needed,
-and a step from value v to v+1 is those two lookups and, when they
-succeed, :func:`~dmincut.maxflow.push_unit`: one unit along the trees,
-with no search.  The child inherits each tree the push kept, and searches
-the others when it needs them.  A step that fails runs no search.
+and a step from value v to v+1 is :func:`~dmincut.maxflow.push` of one
+unit on a copy of the node's residual: those two lookups and, when they
+succeed, one unit along the trees, with no search.  The push stores the
+trees it searched in the node's list, so the node keeps them.  The child
+inherits each tree the push kept, and searches the others when it needs
+them.  A step that fails runs no search.
 Two prunes are sound:
 
 * W < d.  A leaf X with W(X) = d has a flow of value d that saturates C
@@ -50,8 +52,10 @@ search of the cut that takes it past ``CANDIDATE_SEARCH_GUARD``
 guard charges no work per step.
 
 Each arc starts at the least value from which the arcs after it can
-still hold the rest of d, and is raised to it one unit at a time, so the
-arc is full whenever a tree is searched; a node with nothing left to
+still hold the rest of d, and is raised to it by one push in place, so
+the arc is full whenever a tree is searched.  Units follow one path until
+a slot on it empties, and the push sends each such run at once, so an arc
+of any capacity costs a few walks; a node with nothing left to
 assign is a leaf, its later arcs at 0.  A leaf's flow has value d, which
 is maximal because C's capacity under the leaf is d, so
 :func:`~dmincut.verify.verify` classifies it on that flow and no leaf gets
@@ -80,7 +84,7 @@ from itertools import accumulate
 from .candidates import composition_table, count_candidates, cut_caps, enumerate_candidates  # noqa: F401
 from .cuts import MinCut, is_min_cut
 from .errors import StateSpaceLimitError, ValidationError
-from .maxflow import FlowState, max_flow, push_unit, residual_tree
+from .maxflow import FlowState, max_flow, push, residual_tree
 from .network import Network, StateVector
 from .verify import verify
 
@@ -166,27 +170,11 @@ def _search_cut(
     positions = [arc_id - 1 for arc_id in cut]
     slots = [2 * p for p in positions]
     suffix = [*accumulate(reversed(caps), initial=0)][::-1]
-    to, source, sink = net.slot_heads, net.source, net.sink
 
     def leaves_below(j: int, least: int, rest: int) -> int:
         """Leaves whose arcs from j on hold a sum in [least, rest], read off the cut's table."""
         low, prefix = table[j]
         return prefix[rest + 1 - low] - prefix[max(least - low, 0)]
-
-    def crosses(residual: list[int], trees: list, j: int) -> bool:
-        """Whether one unit more on arc j of the cut lifts the node's flow.
-
-        The source tree must reach the arc's tail and the sink tree its
-        head.  A tree the node lacks is searched here and kept in
-        ``trees``, the sink tree only once the tail is reached.
-        """
-        if trees[0] is None:
-            trees[0] = residual_tree(net, residual, source)
-        if trees[0][to[slots[j] ^ 1]] < 0:
-            return False
-        if trees[1] is None:
-            trees[1] = residual_tree(net, residual, sink, 1)
-        return trees[1][to[slots[j]]] >= 0
 
     vector = list(net.max_capacities)
     root = [0] * (2 * net.arc_count)
@@ -200,24 +188,22 @@ def _search_cut(
         if i >= 0:
             vector[positions[i]] = v
             if rest and v < caps[i]:
-                if crosses(residual, trees, i):
-                    step = residual.copy()
-                    stack.append((i, v + 1, step, rest - 1, push_unit(net, step, slots[i], *trees)))
-                else:
+                step = residual.copy()
+                kept = push(net, step, slots[i], 1, trees)
+                if kept is None:
                     # Arc i at v does not lift: the child at v has no d-MC, and v+1.. are below d.
                     pruned += leaves_below(i + 1, rest, rest)
                     below += leaves_below(i + 1, rest - caps[i] + v, rest - 1)
                     continue
+                stack.append((i, v + 1, step, rest - 1, kept))
         j = i + 1
         if rest:
-            # rest <= suffix[j], so an arc is left: raise it to the least value that can still reach d,
-            # one unit at a time, so that it is full whenever a tree is searched.
+            # rest <= suffix[j], so an arc is left: raise it to the least value that can still reach d.
+            # push sends those units along the node's trees, so the arc is full whenever a tree is searched.
             low = max(0, rest - suffix[j + 1])
-            for _ in range(low):
-                if not crosses(residual, trees, j):
-                    below += leaves_below(j, rest, rest)
-                    break
-                trees = push_unit(net, residual, slots[j], *trees)
+            trees = push(net, residual, slots[j], low, trees)
+            if trees is None:
+                below += leaves_below(j, rest, rest)
             else:
                 stack.append((j, low, residual, rest - low, trees))
             continue
@@ -228,8 +214,8 @@ def _search_cut(
         state = tuple(vector)
         flow = FlowState(net=net, residual=tuple(residual), value=demand)
         vars(flow).update(
-            source_tree=trees[0] or residual_tree(net, residual, source),
-            sink_tree=trees[1] or residual_tree(net, residual, sink, 1),
+            source_tree=trees[0] or residual_tree(net, residual, net.source),
+            sink_tree=trees[1] or residual_tree(net, residual, net.sink, 1),
         )
         if not verify(net, state, demand, flow).is_dmc:
             counters.not_maximal += 1

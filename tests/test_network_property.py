@@ -26,7 +26,7 @@ from dmincut import (  # noqa: E402
     residual_tree,
     state_space_size,
 )
-from dmincut.maxflow import push_unit  # noqa: E402
+from dmincut.maxflow import push  # noqa: E402
 
 from helpers import (  # noqa: E402
     assert_feasible,
@@ -154,10 +154,11 @@ def reached(tree) -> set[int]:
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(networks(max_arcs=8), st.data())
 def test_a_unit_pushed_along_the_two_trees_is_the_augmentation_it_replaces(net, data):
-    # The search's step, on a partial state of a minimal cut whose max flow saturates the cut: a
-    # unit more on a cut arc lifts the flow exactly when the source tree reaches its tail and the
-    # sink tree its head, and push_unit sends it.  Steps follow each other on the trees push_unit
-    # keeps, as the search's nodes inherit them.
+    # The search's steps and descents, on a partial state of a minimal cut whose max flow saturates
+    # the cut: push raises a cut arc by k units and sends them along the two trees.  It returns None
+    # exactly when the raised state's max flow falls short of k more, and it leaves the residual and
+    # the kept or lost trees that k one-unit pushes leave.  Pushes follow each other on the trees
+    # push keeps, as the search's nodes inherit them.
     assume(net.sink in reachable_from_source(net))
     cut = data.draw(st.sampled_from(enumerate_min_cuts(net)))
     state = list(net.max_capacities)
@@ -166,24 +167,30 @@ def test_a_unit_pushed_along_the_two_trees_is_the_augmentation_it_replaces(net, 
     fs = max_flow(net, tuple(state))
     assume(fs.value == sum(state[arc_id - 1] for arc_id in cut))
     residual, value, trees = list(fs.residual), fs.value, [fs.source_tree, fs.sink_tree]
-    to = net.slot_heads
-    steps = data.draw(st.lists(st.sampled_from(cut), max_size=6))
-    # Room for every step above the maxima, for the oracle's flow of the raised state.
-    wide = replace(net, arcs=tuple(replace(a, max_capacity=a.max_capacity + len(steps)) for a in net.arcs))
-    for arc_id in steps:
+    steps = data.draw(st.lists(st.tuples(st.sampled_from(cut), st.integers(0, 4)), max_size=6))
+    # Room for every unit above the maxima, for the oracle's flow of the raised state.
+    extra = sum(units for _, units in steps)
+    wide = replace(net, arcs=tuple(replace(a, max_capacity=a.max_capacity + extra) for a in net.arcs))
+    for arc_id, units in steps:
         slot = 2 * arc_id - 2
-        trees = [tree or residual_tree(net, residual, start, backward)
-                 for tree, start, backward in zip(trees, (net.source, net.sink), (0, 1))]
         raised = state.copy()
-        raised[arc_id - 1] += 1
-        lifts = trees[0][to[slot ^ 1]] >= 0 and trees[1][to[slot]] >= 0
-        assert max_flow_value(wide, tuple(raised)) == value + lifts
-        if not lifts:
-            continue
-        trees = push_unit(net, residual, slot, *trees)
-        state[arc_id - 1] += 1
-        value += 1
+        raised[arc_id - 1] += units
+        lifted = max_flow_value(wide, tuple(raised)) == value + units
+        one_by_one, unit_trees, sent = residual.copy(), trees.copy(), 0
+        while sent < units and (step := push(net, one_by_one, slot, 1, unit_trees)) is not None:
+            unit_trees, sent = step, sent + 1
+        kept = push(net, residual, slot, units, trees)
+        assert (kept is not None) == lifted == (sent == units)
+        assert residual == one_by_one
+        state[arc_id - 1] += sent
+        value += sent
         assert_feasible(FlowState(net=net, residual=tuple(residual), value=value), state)
+        if kept is not None:
+            assert kept == unit_trees
+            trees = kept
+        elif sent:
+            trees = [None, None]
+        # Otherwise the trees push searched stay in the caller's list, for the unchanged residual.
         for tree, start, backward in zip(trees, (net.source, net.sink), (0, 1)):
             if tree is None:
                 continue

@@ -317,6 +317,39 @@ def test_a_wide_parallel_cut_lists_every_candidate(verify_calls):
     assert_matches_the_reference(net, [0, 1, 2, 39, 40])
 
 
+PARALLEL = f"nodes 2 source 1 sink 2\nedge 1 1 2 {10**12}\nedge 2 1 2 {10**12}\n"
+SERIES = f"nodes 3 source 1 sink 3\nedge 1 1 2 {10**12}\nedge 2 2 3 {10**12}\n"
+
+
+@pytest.mark.parametrize(
+    "text, demand, dmcs",
+    [
+        # One unit to spare: each arc of the one cut descends to 10^12 - 1 in one push.
+        (PARALLEL, 2 * 10**12 - 1, [(10**12 - 1, 10**12), (10**12, 10**12 - 1)]),
+        # Each cut's arc is raised to the demand in one push along the other arc.
+        (SERIES, 10**12 - 1, [(10**12 - 1, 10**12), (10**12, 10**12 - 1)]),
+        # Here that push empties the other arc, and both cuts reach the saturated vector.
+        (SERIES, 10**12, [(10**12, 10**12)]),
+    ],
+    ids=["parallel", "series-below", "series-full"],
+)
+def test_huge_capacities_are_raised_by_a_few_pushes(monkeypatch, text, demand, dmcs):
+    real = solver_module.push
+    pushes = []
+
+    def counting(net, residual, slot, units, trees):
+        pushes.append(units)
+        return real(net, residual, slot, units, trees)
+
+    monkeypatch.setattr(solver_module, "push", counting)
+    net = parse_network(text)
+    report = find_all_dmcs(net, demand, enumerate_min_cuts(net))
+    assert list(report.dmcs) == dmcs
+    assert audit_complexity(report)
+    # One push per descent and per step: 4 on the parallel pair, one per cut in series.
+    assert len(pushes) <= 4
+
+
 def test_counters_account_every_candidate(fig1):
     cuts = enumerate_min_cuts(fig1)
     report = find_all_dmcs(fig1, 7, cuts)

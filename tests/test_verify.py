@@ -14,7 +14,7 @@ from dmincut import (
     verify,
     verify_flawed,
 )
-from dmincut.maxflow import push_unit, residual_tree
+from dmincut.maxflow import push
 from dmincut.network import parse_network
 
 from helpers import (
@@ -82,12 +82,10 @@ def test_verify_on_a_flow_in_hand_equals_verify_from_scratch():
             start = max_flow(net, lower)
             residual, value = list(start.residual), start.value
             # Each arc goes from lower to state one unit at a time, and a unit that lifts the flow
-            # is pushed along the two trees.
+            # is pushed along the two trees, searched afresh.
             for i, (x, y) in enumerate(zip(state, lower)):
                 for _ in range(x - y):
-                    trees = [residual_tree(net, residual, net.source), residual_tree(net, residual, net.sink, 1)]
-                    if trees[0][net.arcs[i].tail] >= 0 and trees[1][net.arcs[i].head] >= 0:
-                        push_unit(net, residual, 2 * i, *trees)
+                    if push(net, residual, 2 * i, 1, [None, None]) is not None:
                         value += 1
                     else:
                         residual[2 * i] += 1
