@@ -12,7 +12,8 @@ the union of the boxes below a d-MC set into disjoint boxes, and
 ``reliability_exhaustive`` is what it is checked against.
 
 All sweeps, and the union, refuse to run past an explicit guard instead of
-silently sampling.
+silently sampling: a sweep counts states, the union the coordinates its
+split reads.
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from math import fsum, prod
-from operator import le
 from typing import Iterable, Sequence
 
 from .errors import StateSpaceLimitError, ValidationError
 from .network import EdgeDistribution, Network, StateVector
 
 STATE_SPACE_GUARD = 10**7
-UNION_WORK_GUARD = 5 * 10**6
+UNION_WORK_GUARD = 5 * 10**7
 RELIABILITY_TOLERANCE = 1e-12
 
 
@@ -164,17 +164,24 @@ def reliability_from_dmcs(
     The d-MCs are the maximal vectors of {X : W(X) <= d}, so that set is the
     union of the boxes [0, u] below each of them.  This is the production
     union, not a brute-force sweep.  A subproblem is a lower corner ``lo``
-    and the maximal upper corners of the boxes [lo, u] still to cover.  Take
+    and the set of upper corners of the boxes [lo, u] still to cover.  Take
     a pivot v among them and count the box [lo, v]; the rest of the region
     splits into m disjoint slabs, slab i holding lo_j <= x_j <= v_j for
-    j < i and x_i > v_i, and each slab becomes a subproblem with the other
-    boxes clipped to it (recursive sum of disjoint products; Zuo, Tian &
-    Huang 2007).  Every term is a nonnegative product of per-arc interval
-    masses, so nothing cancels.  The complement 1 - result is Pr[W >= d+1].
+    j < i and x_i > v_i, and each slab becomes a subproblem with the boxes
+    that reach into it clipped to it (recursive sum of disjoint products;
+    Zuo, Tian & Huang 2007).  The split is exact for any set of corners,
+    so dominated ones need no filter: the pivot is a corner of largest
+    coordinate sum, which no other corner strictly dominates, and a corner
+    below it enters none of its slabs.  Every term is a nonnegative
+    product of per-arc interval masses, so nothing cancels.  The
+    complement 1 - result is Pr[W >= d+1].
 
-    The dominance filter compares up to c^2 vector pairs for a list of c
-    boxes; once those counts add up past ``UNION_WORK_GUARD`` the call
-    refuses before doing that work.
+    The work is charged in coordinates read: m for each d-MC, and m for
+    each box a slab takes, before it is clipped.  A subproblem scans each
+    of its boxes once per slab and clips each box it hands on once, so the
+    charge bounds the split within a small constant factor.  The call
+    refuses before it clips the slab that takes the charge past
+    ``UNION_WORK_GUARD``, and before any slab when the d-MCs alone do.
     """
     dist.validate(net)
     unique = sorted(set(tuple(v) for v in dmcs))
@@ -186,32 +193,29 @@ def reliability_from_dmcs(
     m = net.arc_count
     work = 0
 
-    def maximal(vectors: list[StateVector]) -> list[StateVector]:
-        """The vectors no other one dominates, each once, largest coordinate sum first."""
+    def charge(boxes: int) -> None:
         nonlocal work
-        work += len(vectors) ** 2
+        work += m * boxes
         if work > UNION_WORK_GUARD:
             raise StateSpaceLimitError(
-                f"splitting the union of {len(unique)} d-MC boxes into disjoint boxes needs more"
-                f" dominance comparisons than the guard UNION_WORK_GUARD={UNION_WORK_GUARD}"
+                f"splitting the union of {len(unique)} d-MC boxes into disjoint boxes reads more"
+                f" coordinates than the guard UNION_WORK_GUARD={UNION_WORK_GUARD}"
             )
-        kept: list[StateVector] = []
-        for u in sorted(set(vectors), key=sum, reverse=True):
-            if not any(all(map(le, u, w)) for w in kept):
-                kept.append(u)
-        return kept
 
+    charge(len(unique))
     terms: list[float] = []
-    stack = [((0,) * m, maximal(unique))]
+    stack = [((0,) * m, unique)]
     while stack:
         lo, uppers = stack.pop()
-        v = uppers[0]
+        v = max(uppers, key=sum)
         mass = 1.0
         for pmf, a, b in zip(pmfs, lo, v):
             mass *= fsum(pmf[a : b + 1])
         terms.append(mass)
         for i, vi in enumerate(v):
-            slab = [tuple(map(min, u[:i], v)) + u[i:] for u in uppers if u[i] > vi]
-            if slab:
-                stack.append((lo[:i] + (vi + 1,) + lo[i + 1 :], maximal(slab)))
+            taken = [u for u in uppers if u[i] > vi]
+            if taken:
+                charge(len(taken))
+                slab = {tuple(map(min, u[:i], v)) + u[i:] for u in taken}
+                stack.append((lo[:i] + (vi + 1,) + lo[i + 1 :], slab))
     return fsum(terms)

@@ -1,5 +1,5 @@
 import random
-from math import sqrt
+from math import fsum, sqrt
 
 import pytest
 
@@ -141,15 +141,32 @@ def test_reliability_from_dmcs_guard(fig1, monkeypatch):
         reliability_from_dmcs(fig1, level, dist)
 
 
-def test_reliability_from_dmcs_guard_refuses_before_filtering():
-    # 2,300 pairwise incomparable vectors: 2,300^2 comparisons exceed the guard,
-    # so the call refuses at once instead of running the quadratic filter.
-    net = parse_network("nodes 2 source 1 sink 2\nedge 1 1 2 3000\nedge 2 1 2 3000\n")
-    dist = uniform_distribution(net)
-    vectors = [(i, 2999 - i) for i in range(2300)]
-    assert len(vectors) ** 2 > oracle.UNION_WORK_GUARD
-    with pytest.raises(StateSpaceLimitError, match="guard"):
-        reliability_from_dmcs(net, vectors, dist)
+STAIRCASE = parse_network("nodes 2 source 1 sink 2\nedge 1 1 2 3000\nedge 2 1 2 3000\n")
+STAIRCASE_CORNERS = [(i, 2999 - i) for i in range(2300)]  # 2,300 pairwise incomparable vectors
+
+
+def test_reliability_from_dmcs_answers_a_wide_antichain():
+    # The boxes below the staircase cover 3000 - i states in column i < 2300.
+    covered = sum(3000 - i for i in range(2300))
+    assert covered == 4_256_150
+    union = reliability_from_dmcs(STAIRCASE, STAIRCASE_CORNERS, uniform_distribution(STAIRCASE))
+    assert abs(union - covered / 3001**2) <= 1e-12
+
+
+def test_reliability_from_dmcs_guard_refuses_before_any_slab(monkeypatch):
+    # The root charges m = 2 coordinates per d-MC: a guard one below that refuses
+    # before the first box is measured, a guard at it only at the first slab.
+    dist = uniform_distribution(STAIRCASE)
+    measured = []
+    monkeypatch.setattr(oracle, "fsum", lambda xs: measured.append(xs) or fsum(xs))
+    monkeypatch.setattr(oracle, "UNION_WORK_GUARD", 2 * 2300 - 1)
+    with pytest.raises(StateSpaceLimitError, match="UNION_WORK_GUARD"):
+        reliability_from_dmcs(STAIRCASE, STAIRCASE_CORNERS, dist)
+    assert measured == []
+    monkeypatch.setattr(oracle, "UNION_WORK_GUARD", 2 * 2300)
+    with pytest.raises(StateSpaceLimitError, match="UNION_WORK_GUARD"):
+        reliability_from_dmcs(STAIRCASE, STAIRCASE_CORNERS, dist)
+    assert measured != []
 
 
 def test_union_complement_identity_fig1(fig1):
