@@ -105,6 +105,8 @@ def cmd_check_flaw(args) -> int:
     totals = accumulate(count_candidates(net, cut, args.demand) for cut in cuts)
     for index, total in enumerate(totals, start=1):
         refuse_candidates_past_guard(total, index, len(cuts), args.demand)
+        # Each candidate then gets a max flow from scratch, which reads all m arcs.
+        refuse_candidates_past_guard(total, index, len(cuts), args.demand, "CHECK_FLAW_WORK_GUARD", net.arc_count)
     # A stream over ascending arc ids ascends in full-vector order, so merging the
     # streams and dropping repeats lists each candidate once, in sorted order.
     streams = [enumerate_candidates(net, sorted(cut), args.demand) for cut in cuts]

@@ -18,16 +18,20 @@ split reads.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
+from itertools import accumulate, compress, product
 from math import fsum, prod
+from operator import gt
 from typing import Iterable, Sequence
 
 from .errors import StateSpaceLimitError, ValidationError
 from .network import EdgeDistribution, Network, StateVector
 
 STATE_SPACE_GUARD = 10**7
-UNION_WORK_GUARD = 5 * 10**7
+# Coordinates the union's split may read.  A unit costs about 70-90 ns (2-vCPU VM, CPython 3.11),
+# so the limit admits about 11-14 s.  The seed-1 4x4 grid's hardest levels, d = 1 and 2, charge
+# 1.22*10^8 and 1.43*10^8.
+UNION_WORK_GUARD = 15 * 10**7
 RELIABILITY_TOLERANCE = 1e-12
 
 
@@ -97,7 +101,7 @@ def _check_guard(net: Network) -> None:
 
 
 def _box(net: Network) -> Iterable[StateVector]:
-    return itertools.product(*(range(w + 1) for w in net.max_capacities))
+    return product(*(range(w + 1) for w in net.max_capacities))
 
 
 def max_flow_value(net: Network, state: StateVector) -> int:
@@ -156,6 +160,18 @@ def reliability_exhaustive(net: Network, dist: EdgeDistribution, demand: int) ->
     return fsum(terms)
 
 
+def _cumulative(pmf: Sequence[float]) -> list[float]:
+    """The sums 0, p_0, p_0 + p_1, ... of ``pmf``: the mass of [a, b] is c[b + 1] - c[a].
+
+    Summed left to right, they never fall, so no mass is negative.  The
+    last is the pmf's ``fsum`` (kept no lower than the one before it), so
+    a box over an arc's whole range reads the arc's total with one rounding.
+    """
+    c = list(accumulate(pmf, initial=0.0))
+    c[-1] = max(c[-2], fsum(pmf))
+    return c
+
+
 def reliability_from_dmcs(
     net: Network, dmcs: Sequence[StateVector], dist: EdgeDistribution
 ) -> float:
@@ -166,22 +182,34 @@ def reliability_from_dmcs(
     union, not a brute-force sweep.  A subproblem is a lower corner ``lo``
     and the set of upper corners of the boxes [lo, u] still to cover.  Take
     a pivot v among them and count the box [lo, v]; the rest of the region
-    splits into m disjoint slabs, slab i holding lo_j <= x_j <= v_j for
-    j < i and x_i > v_i, and each slab becomes a subproblem with the boxes
-    that reach into it clipped to it (recursive sum of disjoint products;
-    Zuo, Tian & Huang 2007).  The split is exact for any set of corners,
-    so dominated ones need no filter: the pivot is a corner of largest
-    coordinate sum, which no other corner strictly dominates, and a corner
-    below it enters none of its slabs.  Every term is a nonnegative
-    product of per-arc interval masses, so nothing cancels.  The
-    complement 1 - result is Pr[W >= d+1].
+    splits into m disjoint slabs, one per coordinate, each holding
+    x_i > v_i and lo_j <= x_j <= v_j for every coordinate j before i in the
+    subproblem's slab order.  Each slab becomes a subproblem with the boxes
+    that reach into it, clipped to it (recursive sum of disjoint products;
+    Zuo, Tian & Huang 2007).  The split is exact for any set of corners and
+    any order, so dominated ones need no filter: the pivot is a corner of
+    largest coordinate sum, which no other corner strictly dominates, and a
+    corner below it enters none of its slabs.  A subproblem with one box
+    adds it and passes no slab on.  Every term is a nonnegative product of
+    per-arc interval masses, each the difference of two cumulative sums of
+    its pmf, so nothing cancels.  The complement 1 - result is Pr[W >= d+1].
+
+    One pass over a subproblem's boxes finds the coordinates where each
+    exceeds the pivot; a box enters the slab of each such coordinate and
+    no other, so only those slabs are built.  Each subproblem orders its
+    slabs by fewest taken boxes first, ties by arc id, and a box is clipped
+    only on its coordinates that come earlier in that order, so the slabs
+    that take the most boxes come last and take them clipped the most.
+    On the seed-1 4x4 grid that order charges 1.1-1.5x less than arc order
+    at d = 1..3, and 8% more at d = 0.
 
     The work is charged in coordinates read: m for each d-MC, and m for
     each box a slab takes, before it is clipped.  A subproblem scans each
-    of its boxes once per slab and clips each box it hands on once, so the
+    of its boxes once, and a slab copies each box it takes once, so the
     charge bounds the split within a small constant factor.  The call
     refuses before it clips the slab that takes the charge past
-    ``UNION_WORK_GUARD``, and before any slab when the d-MCs alone do.
+    ``UNION_WORK_GUARD``, and before any mass is read when the d-MCs alone
+    do.
     """
     dist.validate(net)
     unique = sorted(set(tuple(v) for v in dmcs))
@@ -189,7 +217,6 @@ def reliability_from_dmcs(
         raise ValidationError("empty d-MC set: the union of zero boxes carries no probability")
     for v in unique:
         net.validate_state(v)
-    pmfs = dist.pmfs
     m = net.arc_count
     work = 0
 
@@ -203,19 +230,31 @@ def reliability_from_dmcs(
             )
 
     charge(len(unique))
+    cumulative = [_cumulative(pmf) for pmf in dist.pmfs]
+    arcs = range(m)
     terms: list[float] = []
     stack = [((0,) * m, unique)]
     while stack:
         lo, uppers = stack.pop()
         v = max(uppers, key=sum)
         mass = 1.0
-        for pmf, a, b in zip(pmfs, lo, v):
-            mass *= fsum(pmf[a : b + 1])
+        for c, a, b in zip(cumulative, lo, v):
+            mass *= c[b + 1] - c[a]
         terms.append(mass)
-        for i, vi in enumerate(v):
-            taken = [u for u in uppers if u[i] > vi]
-            if taken:
-                charge(len(taken))
-                slab = {tuple(map(min, u[:i], v)) + u[i:] for u in taken}
-                stack.append((lo[:i] + (vi + 1,) + lo[i + 1 :], slab))
+        if len(uppers) == 1:
+            continue
+        taken: dict[int, list[list[int]]] = {}
+        for u in uppers:
+            over = list(compress(arcs, map(gt, u, v)))
+            if over:
+                box = list(u)
+                for i in over:
+                    taken.setdefault(i, []).append(box)
+        for i in sorted(taken, key=lambda i: (len(taken[i]), i)):
+            boxes = taken[i]
+            charge(len(boxes))
+            stack.append((lo[:i] + (v[i] + 1,) + lo[i + 1 :], set(map(tuple, boxes))))
+            # Later slabs in the order see these boxes clipped to the pivot here.
+            for box in boxes:
+                box[i] = v[i]
     return fsum(terms)

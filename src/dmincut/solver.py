@@ -48,8 +48,9 @@ subtree is one rest and the larger values at its depth are a range of
 rests.  Only the table of the cut being searched is alive.  The row 0
 counts also keep a running total, and the solve is refused before the
 search of the cut that takes it past ``CANDIDATE_SEARCH_GUARD``
-(:func:`refuse_candidates_past_guard`, which check-flaw asks too); the
-guard charges no work per step.
+(:func:`refuse_candidates_past_guard`, which check-flaw asks too, and
+again with ``CHECK_FLAW_WORK_GUARD`` for its max flow per candidate);
+the guard charges no work per step.
 
 Each arc starts at the least value from which the arcs after it can
 still hold the rest of d, and is raised to it by one push in place, so
@@ -92,6 +93,11 @@ from .verify import verify
 # counting table, charged before its search.  The largest input the tests and benchmarks solve, the
 # 5x5 grid at d = 3, has 14,149,574.
 CANDIDATE_SEARCH_GUARD = 10**8
+# Candidate-arcs one check-flaw may read, charged over its cuts before any stream is read: each
+# candidate gets a max flow from scratch, which reads all m arcs.  A candidate-arc costs about
+# 1-1.8 us (2-vCPU VM, CPython 3.11), so the limit admits about 10-18 s.  The largest input the
+# tests and the docs check, the 4x4 grid at d = 3, charges 113,053 * 32 = 3.6*10^6.
+CHECK_FLAW_WORK_GUARD = 10**7
 
 
 @dataclass
@@ -137,16 +143,22 @@ def infeasibility(net: Network, demand: int) -> str | None:
     return None
 
 
-def refuse_candidates_past_guard(total: int, index: int, cut_count: int, demand: int) -> None:
-    """Raise :class:`StateSpaceLimitError` when cuts 1..``index`` have ``total`` candidates, past the guard.
+def refuse_candidates_past_guard(
+    total: int, index: int, cut_count: int, demand: int, guard: str = "CANDIDATE_SEARCH_GUARD", cost: int = 1
+) -> None:
+    """Raise :class:`StateSpaceLimitError` when cuts 1..``index`` have ``total`` candidates, past ``guard``.
 
-    The caller adds up the cuts' candidate counts in order and asks after
-    each, before it searches or streams that cut.
+    ``guard`` names a limit of this module, read at each call, and each
+    candidate is charged ``cost`` against it.  The caller adds up the
+    cuts' candidate counts in order and asks after each, before it
+    searches or streams that cut.
     """
-    if total > CANDIDATE_SEARCH_GUARD:
+    limit = globals()[guard]
+    if total * cost > limit:
+        charged = f", charged {cost} each ({total * cost})" if cost != 1 else ""
         raise StateSpaceLimitError(
-            f"cuts 1..{index} of {cut_count} have {total} candidates at demand {demand},"
-            f" above the guard CANDIDATE_SEARCH_GUARD={CANDIDATE_SEARCH_GUARD}"
+            f"cuts 1..{index} of {cut_count} have {total} candidates at demand {demand}{charged},"
+            f" above the guard {guard}={limit}"
         )
 
 

@@ -1,6 +1,7 @@
 import argparse
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -14,6 +15,7 @@ from dmincut import (
     find_all_dmcs,
     oracle,
     parse_network,
+    solver,
     unsaturated_set,
 )
 from dmincut.cli import main
@@ -425,6 +427,32 @@ def test_candidate_search_guard_exits_4(capsys, tmp_path):
         assert (code, out) == (4, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "CANDIDATE_SEARCH_GUARD" in err
+
+
+def test_check_flaw_work_guard_exits_4(capsys, tmp_path):
+    # 40 parallel unit arcs at demand 8: C(40, 8) = 76,904,685 candidates pass the candidate guard,
+    # but each gets a max flow over 40 arcs, about 3.1*10^9 candidate-arcs.  check-flaw refuses
+    # before it reads any candidate stream.
+    net = tmp_path / "parallel40.net"
+    net.write_text("nodes 2 source 1 sink 2\n" + "".join(f"edge {a} 1 2 1\n" for a in range(1, 41)))
+    started = time.perf_counter()
+    code, out, err = run(capsys, "check-flaw", str(net), "--demand", "8")
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{math.comb(40, 8)} candidates" in err and f"({40 * math.comb(40, 8)})" in err
+    assert "CHECK_FLAW_WORK_GUARD" in err
+
+
+def test_check_flaw_work_guard_charges_m_arcs_per_candidate(capsys, monkeypatch):
+    # fig1 at demand 7: its four cuts have 6 + 3 + 6 + 23 = 38 candidates, charged 6 arcs each.
+    monkeypatch.setattr(solver, "CHECK_FLAW_WORK_GUARD", 6 * 38 - 1)
+    code, out, err = run(capsys, "check-flaw", FIG1, "--demand", "7")
+    assert (code, out) == (4, "")
+    assert "cuts 1..4 of 4 have 38 candidates" in err and "CHECK_FLAW_WORK_GUARD=227" in err
+    monkeypatch.setattr(solver, "CHECK_FLAW_WORK_GUARD", 6 * 38)
+    code, out, _ = run(capsys, "check-flaw", FIG1, "--demand", "7")
+    assert code == 0 and out.endswith("disagreements: 32\n")
 
 
 def test_node_count_above_guard_exits_2(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import random
-from math import fsum, sqrt
+from itertools import accumulate, compress
+from math import prod, sqrt
 
 import pytest
 
@@ -120,6 +121,13 @@ def test_reliability_from_dmcs_single_vector():
     assert abs(reliability_from_dmcs(net, [(2,)], dist) - 0.75) < 1e-15
 
 
+def test_reliability_from_dmcs_reads_a_whole_range_as_its_fsum():
+    # Twenty masses of 0.05 add up left to right to 1.0000000000000002, but their fsum is 1.0.
+    # The box over the arc's whole range reads the fsum, so Pr[W >= 20] = 1 - union is 0.0, not -0.0.
+    net = parse_network("nodes 2 source 1 sink 2\nedge 1 1 2 19\n")
+    assert reliability_from_dmcs(net, [(19,)], uniform_distribution(net)) == 1.0
+
+
 def test_reliability_from_dmcs_dedups_input():
     net = parse_network("nodes 2 source 1 sink 2\nedge 1 1 2 3\n")
     dist = uniform_distribution(net)
@@ -135,7 +143,7 @@ def test_reliability_from_dmcs_empty_flagged(fig1):
 
 def test_reliability_from_dmcs_guard(fig1, monkeypatch):
     dist = uniform_distribution(fig1)
-    level = dmc_levels(fig1)[3]  # 32 vectors: 32^2 comparisons for the first filter alone
+    level = dmc_levels(fig1)[3]  # 32 vectors, whose split charges 1,734 coordinates
     monkeypatch.setattr(oracle, "UNION_WORK_GUARD", 1000)
     with pytest.raises(StateSpaceLimitError, match="UNION_WORK_GUARD"):
         reliability_from_dmcs(fig1, level, dist)
@@ -155,10 +163,10 @@ def test_reliability_from_dmcs_answers_a_wide_antichain():
 
 def test_reliability_from_dmcs_guard_refuses_before_any_slab(monkeypatch):
     # The root charges m = 2 coordinates per d-MC: a guard one below that refuses
-    # before the first box is measured, a guard at it only at the first slab.
+    # before the cumulative masses are built, a guard at it only at the first slab.
     dist = uniform_distribution(STAIRCASE)
     measured = []
-    monkeypatch.setattr(oracle, "fsum", lambda xs: measured.append(xs) or fsum(xs))
+    monkeypatch.setattr(oracle, "accumulate", lambda xs, **kw: measured.append(xs) or accumulate(xs, **kw))
     monkeypatch.setattr(oracle, "UNION_WORK_GUARD", 2 * 2300 - 1)
     with pytest.raises(StateSpaceLimitError, match="UNION_WORK_GUARD"):
         reliability_from_dmcs(STAIRCASE, STAIRCASE_CORNERS, dist)
@@ -167,6 +175,36 @@ def test_reliability_from_dmcs_guard_refuses_before_any_slab(monkeypatch):
     with pytest.raises(StateSpaceLimitError, match="UNION_WORK_GUARD"):
         reliability_from_dmcs(STAIRCASE, STAIRCASE_CORNERS, dist)
     assert measured != []
+
+
+def test_reliability_from_dmcs_one_dmc_charges_m_and_makes_no_slab(fig1, monkeypatch):
+    # One d-MC is a one-box subproblem: it adds its box and scans no box for a slab.
+    vector = (2, 1, 0, 1, 3, 2)
+    expected = prod((x + 1) / (w + 1) for x, w in zip(vector, fig1.max_capacities))
+    scans = []
+    monkeypatch.setattr(oracle, "compress", lambda *args: scans.append(args) or compress(*args))
+    monkeypatch.setattr(oracle, "UNION_WORK_GUARD", fig1.arc_count)
+    assert abs(reliability_from_dmcs(fig1, [vector], uniform_distribution(fig1)) - expected) <= 1e-15
+    assert scans == []
+    monkeypatch.setattr(oracle, "UNION_WORK_GUARD", fig1.arc_count - 1)
+    with pytest.raises(StateSpaceLimitError, match="UNION_WORK_GUARD"):
+        reliability_from_dmcs(fig1, [vector], uniform_distribution(fig1))
+
+
+# The split's charge on fig1's d-MC set at each level 0..8.  A guard at the charge
+# answers and one below it refuses, so a loop that charges more fails here.
+FIG1_UNION_CHARGES = [54, 390, 1110, 1734, 1980, 1308, 480, 90, 6]
+
+
+def test_reliability_from_dmcs_charge_is_pinned_on_fig1(fig1, monkeypatch):
+    dist = uniform_distribution(fig1)
+    levels = dmc_levels(fig1)
+    for demand, charge in enumerate(FIG1_UNION_CHARGES):
+        monkeypatch.setattr(oracle, "UNION_WORK_GUARD", charge)
+        reliability_from_dmcs(fig1, levels[demand], dist)
+        monkeypatch.setattr(oracle, "UNION_WORK_GUARD", charge - 1)
+        with pytest.raises(StateSpaceLimitError, match="UNION_WORK_GUARD"):
+            reliability_from_dmcs(fig1, levels[demand], dist)
 
 
 def test_union_complement_identity_fig1(fig1):
