@@ -168,7 +168,8 @@ def cmd_reliability(args) -> int:
             if report.infeasible_demand:
                 probability = 0.0
             else:
-                probability = 1.0 - reliability_from_dmcs(net, report.dmcs, dist)
+                # A union that rounds above 1 would print -0.000000000000; a probability is never negative.
+                probability = max(0.0, 1.0 - reliability_from_dmcs(net, report.dmcs, dist))
     print(f"{probability:.12f}")
     return EXIT_OK
 

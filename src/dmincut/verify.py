@@ -18,10 +18,12 @@ yields them in ascending order, each costs two reads of the trees
 that does not lift, which is its witness.  A flow from
 :func:`~dmincut.maxflow.max_flow` brings its source tree, so a verdict at
 the demand costs one backward search; a flow off the demand is rejected
-with none.  At a leaf of the solver's search every arc off the cut is
-full, so a leaf's unsaturated arcs are among its cut's, and the leaf's
-flow brings both trees: classifying it runs no search and costs
-Python-level work in O(k) for a cut of k arcs, not a scan of all m arcs.
+with none.  The solver rejects a failing leaf of its search itself, on
+the two trees the leaf already holds, and gives ``verify`` only the
+leaves that pass, each with its flow and both trees.  At such a leaf every
+arc off the cut is full, so its unsaturated arcs are among its cut's:
+the verdict runs no search, and its Python-level work is O(k) for a cut
+of k arcs, beside the checks of the given flow.
 
 ``verify_flawed`` implements a historically published acceptance test that
 drops the W(X) = d hypothesis and takes plain source-sink reachability in

@@ -52,17 +52,17 @@ def max_flow_calls(monkeypatch):
 
 
 @pytest.fixture
-def verify_calls(monkeypatch):
-    """The states the solver passes to ``verify``, one per leaf of its candidate search."""
+def leaf_calls(monkeypatch):
+    """The states the solver passes to its leaf verdict, one per leaf of its candidate search."""
     solver = importlib.import_module("dmincut.solver")
-    real = solver.verify
+    real = solver._leaf_is_dmc
     calls = []
 
-    def recording(net, state, demand, flow=None):
+    def recording(net, state, *rest):
         calls.append(state)
-        return real(net, state, demand, flow)
+        return real(net, state, *rest)
 
-    monkeypatch.setattr(solver, "verify", recording)
+    monkeypatch.setattr(solver, "_leaf_is_dmc", recording)
     return calls
 
 

@@ -529,6 +529,15 @@ def test_reliability_methods_agree(capsys):
         assert len(out_d.strip().split(".")[1]) == 12  # twelve decimal places
 
 
+def test_reliability_prints_no_negative_zero(capsys, tmp_path):
+    # The pmf's total rounds above 1, so the union of the one d-MC, the saturated vector, does too.
+    net = tmp_path / "over.net"
+    net.write_text("nodes 2 source 1 sink 2\nedge 1 1 2 1\nprob 1 0.5 0.5000000000000002\n")
+    for argv in (("--demand", "2"), ("--demand", "1", "--threshold", "strict")):
+        for method in ("dmcs", "exhaustive"):
+            assert run(capsys, "reliability", str(net), *argv, "--method", method) == (0, "0.000000000000\n", "")
+
+
 def test_reliability_strict_threshold(capsys):
     _, strict, _ = run(capsys, "reliability", FIG1_PROB, "--demand", "7", "--threshold", "strict")
     _, ge_next, _ = run(capsys, "reliability", FIG1_PROB, "--demand", "8", "--threshold", "ge")

@@ -19,6 +19,7 @@ from dmincut import (
     enumerate_min_cuts,
     find_all_dmcs,
     format_cuts,
+    max_flow,
     oracle,
     parse_cuts,
     unsaturated_set,
@@ -30,7 +31,7 @@ from dmincut import solver as solver_module
 from dmincut.network import parse_network
 
 from conftest import REPO_ROOT
-from helpers import bump, grid_network, random_network, reference_dmcs
+from helpers import bump, grid_network, random_network, reference_dmcs, verdict_by_set_formula
 
 
 def test_fig1_demand7_excludes_benchmark_candidate(fig1):
@@ -99,7 +100,7 @@ def test_partial_cut_list_yields_subset(fig1):
 
 
 def unverified_candidates(net, cut_list, demand, report, verified):
-    """The candidates ``find_all_dmcs`` gave no verdict, given the states it passed to ``verify``.
+    """The candidates ``find_all_dmcs`` gave no verdict, given the states it passed to its leaf verdict.
 
     The verified states must be the cuts' candidate streams in order with
     some candidates left out, since the search visits each cut's leaves in
@@ -131,9 +132,9 @@ def unverified_candidates(net, cut_list, demand, report, verified):
     return unverified
 
 
-def test_solve_verifies_only_search_leaves_on_fig1(fig1, verify_calls, max_flow_calls):
-    # The search passes each surviving leaf to verify with the flow it
-    # carries, so no candidate gets a max flow.  A d-MC proves the demand
+def test_solve_verifies_only_search_leaves_on_fig1(fig1, leaf_calls, max_flow_calls):
+    # The search passes each surviving leaf to its leaf verdict with the
+    # flow it carries, so no candidate gets a max flow.  A d-MC proves the demand
     # feasible, so the saturated max flow of the infeasibility diagnostic
     # runs only when none was found.
     cuts = enumerate_min_cuts(fig1)
@@ -141,36 +142,40 @@ def test_solve_verifies_only_search_leaves_on_fig1(fig1, verify_calls, max_flow_
     for demand, cut_list, found in [(d, cuts, True) for d in range(9)] + [
         (9, cuts, False), (12, cuts, False), (8, [(1, 2, 3)], False),
     ]:
-        verify_calls.clear()
+        leaf_calls.clear()
         max_flow_calls.clear()
         report = find_all_dmcs(fig1, demand, cut_list)
         assert bool(report.dmcs) is found
-        unverified_candidates(fig1, cut_list, demand, report, verify_calls)
+        unverified_candidates(fig1, cut_list, demand, report, leaf_calls)
         assert max_flow_calls == ([] if found else [fig1.max_capacities])
-        counts.append(len(verify_calls))
+        counts.append(len(leaf_calls))
         assert report.infeasible_demand is (demand > 8)
     # d = 0..9, then d = 12 (no candidate) and the lone cut {1, 2, 3} at d = 8.
     assert counts == [4, 13, 27, 41, 42, 35, 21, 9, 2, 0, 0, 0]
 
 
-def test_grid_search_matches_the_reference_with_pinned_leaves(max_flow_calls, verify_calls):
-    # The seed-1 4x4 benchmark grid with its stored list of all 1,160 cuts.
+def seed1_grid():
+    """The seed-1 4x4 benchmark grid (n=18, m=32) with its stored list of all 1,160 cuts."""
     rng = random.Random("grid-4x4:1")
     net = grid_network(4, 4, [rng.randint(1, 3) for _ in range(32)])
-    cuts = parse_cuts((REPO_ROOT / "perfbench" / "data" / "grid-4x4.cuts").read_text(), net)
+    return net, parse_cuts((REPO_ROOT / "perfbench" / "data" / "grid-4x4.cuts").read_text(), net)
+
+
+def test_grid_search_matches_the_reference_with_pinned_leaves(max_flow_calls, leaf_calls):
+    net, cuts = seed1_grid()
     pinned = {
         2: (37_475, 2_877, 14_952, (4_905, 29_521, 2_877, 172)),
         3: (113_053, 950, 10_204, (29_500, 82_507, 950, 96)),
     }
     for demand in range(4):
-        verify_calls.clear()
+        leaf_calls.clear()
         max_flow_calls.clear()
         report = find_all_dmcs(net, demand, cuts)
         assert max_flow_calls == []
         c = report.counters
         if demand in pinned:
             candidates, dmcs, leaves, partition = pinned[demand]
-            assert (c.candidates_total, len(report.dmcs), len(verify_calls)) == (candidates, dmcs, leaves)
+            assert (c.candidates_total, len(report.dmcs), len(leaf_calls)) == (candidates, dmcs, leaves)
             assert (c.below_demand, c.not_maximal, c.accepted, c.duplicates_removed) == partition
         assert (report.dmcs, c.duplicates_removed) == reference_dmcs(net, demand, cuts)
 
@@ -180,9 +185,7 @@ def test_search_counts_are_pinned(fig1, residual_tree_calls):
     # unit along them, so the searches are the trees a push emptied a slot of, and the ones a node
     # never needed before.  On the grid, 26,610, 58,226 and 67,236 at d = 1..3 when every step ran
     # an augmenting search and every leaf two more.
-    rng = random.Random("grid-4x4:1")
-    net = grid_network(4, 4, [rng.randint(1, 3) for _ in range(32)])
-    cuts = parse_cuts((REPO_ROOT / "perfbench" / "data" / "grid-4x4.cuts").read_text(), net)
+    net, cuts = seed1_grid()
     counts = []
     for demand in range(4):
         residual_tree_calls.clear()
@@ -250,20 +253,68 @@ def test_candidate_search_guard_refuses_before_the_cut_that_passes_it(fig1, monk
     assert find_all_dmcs(fig1, 7, cuts).total_candidate_bound == 38
 
 
-def test_sweep_search_matches_the_reference_and_leaves_no_dmc_unverified(verify_calls):
-    rng = random.Random(8415)  # the acceptance sweep's 200 networks, drawn alike
-    unverified = below = 0
+def sweep_networks():
+    """The acceptance sweep's 200 networks (seed 8415), each with its minimal cuts."""
+    rng = random.Random(8415)
     for _ in range(200):
         net = random_network(rng, max_nodes=6, max_arcs=8, max_cap=3)
-        cuts = enumerate_min_cuts(net)
+        yield net, enumerate_min_cuts(net)
+
+
+def test_sweep_search_matches_the_reference_and_leaves_no_dmc_unverified(leaf_calls):
+    unverified = below = 0
+    for net, cuts in sweep_networks():
         for demand in range(oracle.max_flow_value(net, net.max_capacities) + 2):
-            verify_calls.clear()
+            leaf_calls.clear()
             report = find_all_dmcs(net, demand, cuts)
-            unverified += len(unverified_candidates(net, cuts, demand, report, verify_calls))
+            unverified += len(unverified_candidates(net, cuts, demand, report, leaf_calls))
             below += report.counters.below_demand
             assert (report.dmcs, report.counters.duplicates_removed) == reference_dmcs(net, demand, cuts)
     # Both prunes are exercised: 828 and 606 when this was written.
     assert unverified > 800 and below > 600
+
+
+@pytest.fixture
+def leaf_verdicts(monkeypatch):
+    """``(net, state, demand, verdict)`` of every leaf the solver's leaf verdict decides."""
+    real = solver_module._leaf_is_dmc
+    verdicts = []
+
+    def recording(net, state, demand, *rest):
+        verdicts.append((net, state, demand, real(net, state, demand, *rest)))
+        return verdicts[-1][-1]
+
+    monkeypatch.setattr(solver_module, "_leaf_is_dmc", recording)
+    return verdicts
+
+
+def test_leaf_verdicts_match_verify_from_scratch_and_the_set_formula(leaf_verdicts):
+    net, cuts = seed1_grid()
+    find_all_dmcs(net, 1, cuts)
+    for net, cuts in sweep_networks():
+        for demand in range(oracle.max_flow_value(net, net.max_capacities) + 2):
+            find_all_dmcs(net, demand, cuts)
+    for net, state, demand, verdict in leaf_verdicts:
+        assert verify(net, state, demand).is_dmc is verdict, (state, demand)
+        assert verdict_by_set_formula(max_flow(net, state), state, demand)[0] is verdict, (state, demand)
+    # Both outcomes are common: 3,543 d-MC leaves and 5,327 others on the grid, 2,077 and 415 on the sweep.
+    accepted = sum(verdict for *_, verdict in leaf_verdicts)
+    assert (len(leaf_verdicts), accepted) == (8_870 + 2_492, 3_543 + 2_077)
+
+
+def test_verify_decides_only_the_leaves_the_tree_check_passes(fig1, monkeypatch):
+    # A leaf with an unsaturated cut arc that does not lift is rejected in the search, so the public
+    # verify sees only d-MCs: the accepted ones and the duplicates another cut found first.
+    real = solver_module.verify
+    verdicts = []
+    monkeypatch.setattr(solver_module, "verify", lambda *args: verdicts.append(real(*args)) or verdicts[-1])
+    net, grid_cuts = seed1_grid()
+    runs = [(fig1, d, enumerate_min_cuts(fig1)) for d in range(9)] + [(net, d, grid_cuts) for d in (2, 3)]
+    for net, demand, cuts in runs:
+        verdicts.clear()
+        c = find_all_dmcs(net, demand, cuts).counters
+        assert len(verdicts) == c.accepted + c.duplicates_removed, (demand, len(verdicts))
+        assert all(verdict.is_dmc for verdict in verdicts)
 
 
 def diamond(cap4):
@@ -284,36 +335,36 @@ def partition(report):
     return c.below_demand, c.not_maximal, c.accepted, c.duplicates_removed
 
 
-def test_a_rest_that_fills_the_free_arcs_reaches_its_leaf(verify_calls):
+def test_a_rest_that_fills_the_free_arcs_reaches_its_leaf(leaf_calls):
     # On the cut {1, 2} at d = 3, arc 1 at 1 leaves a rest of 2, all that arc 2 holds.
     net = diamond(2)
     report = find_all_dmcs(net, 3, [(1, 2)])
-    assert verify_calls == [(1, 2, 2, 2), (2, 1, 2, 2)]
+    assert leaf_calls == [(1, 2, 2, 2), (2, 1, 2, 2)]
     assert partition(report) == (0, 0, 2, 0)
     assert partition(find_all_dmcs(net, 3, enumerate_min_cuts(net))) == (0, 0, 4, 4)
     assert_matches_the_reference(net, range(6))
 
 
-def test_a_rest_that_fills_the_free_arcs_but_not_the_flow_is_one_below_demand(verify_calls):
+def test_a_rest_that_fills_the_free_arcs_but_not_the_flow_is_one_below_demand(leaf_calls):
     # As above, but arc 4 carries 1: (1, 2, 2, 1) has W = 2 < 3, and (2, 1, 2, 1) is not maximal.
     net = diamond(1)
     report = find_all_dmcs(net, 3, [(1, 2)])
-    assert verify_calls == [(2, 1, 2, 1)]
+    assert leaf_calls == [(2, 1, 2, 1)]
     assert partition(report) == (1, 1, 0, 0)
     assert partition(find_all_dmcs(net, 3, enumerate_min_cuts(net))) == (2, 2, 1, 1)
     assert_matches_the_reference(net, range(6))
 
 
-def test_a_wide_parallel_cut_lists_every_candidate(verify_calls):
+def test_a_wide_parallel_cut_lists_every_candidate(leaf_calls):
     # One cut of 40 unit arcs, where every candidate is a d-MC.  At low demand a leaf is reached
     # with most arcs unassigned, and the leaf sets them to 0; at 39 and 40 the rest fills the free
     # arcs, and the search raises them one by one.
     net = parse_network("nodes 2 source 1 sink 2\n" + "".join(f"edge {a} 1 2 1\n" for a in range(1, 41)))
     for demand, leaves in [(0, 1), (1, 40), (2, 780), (39, 40), (40, 1)]:
-        verify_calls.clear()
+        leaf_calls.clear()
         report = find_all_dmcs(net, demand, [tuple(range(1, 41))])
         assert partition(report) == (0, 0, leaves, 0)
-        assert sorted(verify_calls) == list(report.dmcs)
+        assert sorted(leaf_calls) == list(report.dmcs)
     assert_matches_the_reference(net, [0, 1, 2, 39, 40])
 
 
