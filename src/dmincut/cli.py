@@ -9,7 +9,14 @@ Subcommands:
 * ``reliability``  Pr[max flow meets a demand], from d-MCs or exhaustively
 
 Every subcommand takes its network file positionally or via
-``--network FILE``: one of the two, not both.
+``--network FILE``: one of the two, not both.  Network and cut files are
+UTF-8, with or without a byte-order mark.
+
+:func:`main` looks the first word up among the subcommand parsers and
+parses the rest with that parser alone, which is what the top-level parser
+would hand it.  Words that parser leaves over are refused with the
+top-level usage, as ``parse_args`` refuses them.  Any other argv (empty,
+``-h``, an unknown command) goes to the top-level parser.
 
 Exit codes: 0 success (an empty result is not an error), 2 parse or
 validation failure, 3 infeasible demand (above the saturated max flow),
@@ -21,10 +28,10 @@ message is printed, since nothing was refused).
 from __future__ import annotations
 
 import argparse
+import codecs
 import os
 import sys
 from itertools import accumulate, groupby
-from pathlib import Path
 
 from .candidates import count_candidates, enumerate_candidates
 from .cuts import enumerate_min_cuts, format_cuts, parse_cuts
@@ -48,10 +55,19 @@ def _fail(message: str, code: int) -> int:
 
 
 def _read_text(path: str) -> str:
+    """The file's text, past a byte-order mark if it starts with one.
+
+    Line breaks stay as written: the parsers split lines with
+    ``str.splitlines``, which reads ``\\r\\n`` and ``\\r`` as one break each.
+    """
+    with open(path, "rb") as file:
+        data = file.read()
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise DmincutError(f"{path}: not a UTF-8 text file (byte {exc.start})") from None
+        # utf-8-sig counts its offset past the mark; report it from the file's start.
+        skipped = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+        raise DmincutError(f"{path}: not a UTF-8 text file (byte {exc.start + skipped})") from None
 
 
 def _load_network(args):
@@ -174,7 +190,8 @@ def cmd_reliability(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(prog="dmincut", description="Batch command-line interface.")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -206,16 +223,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_rel.add_argument("--method", choices=("dmcs", "exhaustive"), default="dmcs")
     p_rel.add_argument("--threshold", choices=("ge", "strict"), default="ge",
                        help="'ge' scores W >= demand (default), 'strict' scores W > demand")
-    return parser
+    return parser, sub.choices
 
 
-# Built once: main only parses, and parsing leaves the parser unchanged.
-_PARSER = build_parser()
+# Built once: main only parses, and parsing leaves the parsers unchanged.
+_PARSER, _COMMANDS = build_parser()
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return _PARSER.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:

@@ -188,9 +188,13 @@ class EdgeDistribution:
 def _tokenize(text: str):
     """Yield (line_no, tokens) for non-empty, non-comment lines."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line_no, line.split()
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield line_no, tokens
+
+
+# What each field of an edge line holds, as its parse errors name it.
+_EDGE_FIELDS = ("arc id", "tail", "head", "capacity")
 
 
 def _parse_int(token: str, line_no: int, what: str) -> int:
@@ -223,12 +227,11 @@ def parse_network(text: str) -> Network:
         elif kind == "edge":
             if len(tokens) != 5:
                 raise NetworkParseError(line_no, "expected 'edge <id> <tail> <head> <max_capacity>'")
-            arc = Arc(
-                index=_parse_int(tokens[1], line_no, "arc id"),
-                tail=_parse_int(tokens[2], line_no, "tail"),
-                head=_parse_int(tokens[3], line_no, "head"),
-                max_capacity=_parse_int(tokens[4], line_no, "capacity"),
-            )
+            try:
+                arc = Arc(*map(int, tokens[1:]))
+            except ValueError:
+                # The slow path names the first field that is not an integer.
+                arc = Arc(*(_parse_int(token, line_no, what) for token, what in zip(tokens[1:], _EDGE_FIELDS)))
             edges.append((line_no, arc))
         elif kind == "prob":
             continue
@@ -263,7 +266,7 @@ def parse_edge_distribution(text: str, net: Network) -> EdgeDistribution | None:
         if arc_id in pmfs:
             raise NetworkParseError(line_no, f"duplicate prob line for arc {arc_id}")
         try:
-            pmfs[arc_id] = tuple(float(t) for t in tokens[2:])
+            pmfs[arc_id] = tuple(map(float, tokens[2:]))
         except ValueError:
             raise NetworkParseError(line_no, "probabilities must be numbers") from None
     if not pmfs:

@@ -18,6 +18,7 @@ from dmincut import (
     solver,
     unsaturated_set,
 )
+from dmincut import cli
 from dmincut.cli import main
 
 from conftest import FIXTURES
@@ -117,10 +118,15 @@ def test_solve_long_path_with_cut_file(capsys, tmp_path):
     ]
 
 
-def test_solve_missing_file_exits_2(capsys):
+def test_solve_missing_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "solve", "--network", "no-such-file.net", "--demand", "3")
     assert code == 2
     assert "error:" in err
+    # The path is echoed as typed, not normalized.
+    missing = f"{tmp_path}/./no-such-file.net"
+    code, out, err = run(capsys, "solve", missing, "--demand", "3")
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
 
 
 def test_solve_malformed_file_exits_2(capsys, tmp_path):
@@ -165,6 +171,47 @@ def test_main_builds_no_parser(capsys, monkeypatch):
     assert first == again
     assert first[0] == 0
     assert constructed == []
+
+
+# Argument lists main parses the way the top-level parser does: every command valid and with
+# --help, a missing or abbreviated --demand, both network forms, leftover words, no command.
+DISPATCH_ARGVS = [
+    ("solve", FIG1, "--demand", "7"),
+    ("solve", "--network", FIG1, "--demand", "7", "--json"),
+    ("solve", FIG1, "--demand", "7", "--cuts", FIG1_CUTS),
+    ("check-flaw", FIG1, "--demand", "7"),
+    ("oracle", "--network", FIG1, "--demand", "7"),
+    ("mincuts", FIG1),
+    ("reliability", FIG1_PROB, "--demand", "7", "--threshold", "strict"),
+    *((command, "--help") for command in ("solve", "check-flaw", "oracle", "mincuts", "reliability")),
+    ("solve", FIG1),
+    ("solve", FIG1, "--dem", "1"),
+    ("solve", FIG1, "--network", FIG1, "--demand", "1"),
+    ("solve", "--demand", "1"),
+    ("solve", FIG1, "--demand", "x"),
+    ("reliability", FIG1_PROB, "--demand", "7", "--method", "bogus"),
+    ("solve", FIG1, "--demand", "1", "extra"),
+    ("mincuts", FIG1, "--bogus", "extra"),
+    ("solve", "--", FIG1, "--demand", "1"),
+    ("mincuts", FIG1, "-h", "extra"),
+    ("frobnicate",),
+    ("frobnicate", FIG1),
+    ("-h",),
+    ("--help", "solve"),
+    ("--bogus", "solve", FIG1, "--demand", "1"),
+    (),
+]
+
+
+def test_dispatch_matches_the_top_level_parser(capsys, monkeypatch):
+    for argv in DISPATCH_ARGVS:
+        dispatched = run(capsys, *argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parse", cli._PARSER.parse_args)
+            assert run(capsys, *argv) == dispatched, argv
+        # Past the parse, the same namespace reaches the command.
+        if dispatched[0] == 0 and not dispatched[1].startswith("usage:"):
+            assert cli._parse(list(argv)) == cli._PARSER.parse_args(argv), argv
 
 
 def test_help_exits_0(capsys):
@@ -477,6 +524,30 @@ def test_non_utf8_input_exits_2(capsys, tmp_path):
         assert code == 2
         assert out == ""
         assert f"{binary}: not a UTF-8 text file" in err
+    # The offset of the first bad byte counts from the start of the file, a byte-order mark included.
+    bom = b"\xef\xbb\xbf"
+    for data, offset in ((b"nodes 2\n\xff", 8), (bom + b"nodes 2\n\xff", 11), (bom[:2] + b"nodes", 0)):
+        binary.write_bytes(data)
+        code, out, err = run(capsys, "solve", str(binary), "--demand", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: {binary}: not a UTF-8 text file (byte {offset})\n"
+
+
+def test_files_with_a_byte_order_mark_read_as_without(capsys, tmp_path):
+    bom = b"\xef\xbb\xbf"
+    copies = {}
+    for name in (FIG1, FIG1_PROB, FIG1_CUTS):
+        copies[name] = str(tmp_path / f"bom-{Path(name).name}")
+        Path(copies[name]).write_bytes(bom + Path(name).read_bytes())
+    for argv in (
+        ("solve", FIG1, "--demand", "7"),
+        ("solve", FIG1, "--demand", "7", "--cuts", FIG1_CUTS),
+        ("mincuts", FIG1),
+        ("reliability", FIG1_PROB, "--demand", "7"),
+    ):
+        expected = run(capsys, *argv)
+        assert expected[0] == 0
+        assert run(capsys, *(copies.get(word, word) for word in argv)) == expected, argv
 
 
 def test_reliability_nan_pmf_exits_2(capsys, tmp_path):

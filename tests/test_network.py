@@ -63,6 +63,18 @@ def test_parse_malformed_line_reports_line_number():
     text = "nodes 2 source 1 sink 2\nedge 1 1 2 banana\n"
     with pytest.raises(NetworkParseError, match="line 2"):
         parse_network(text)
+    # A bad token in each edge field; with two, the first is named.
+    for edge, message in (
+        ("edge x 1 2 1", "arc id must be an integer, got 'x'"),
+        ("edge 1 one 2 1", "tail must be an integer, got 'one'"),
+        ("edge 1 1 2.0 1", "head must be an integer, got '2.0'"),
+        ("edge 1 1 2 banana", "capacity must be an integer, got 'banana'"),
+        ("edge 1 1 x y", "head must be an integer, got 'x'"),
+    ):
+        text = f"nodes 2 source 1 sink 2\n# arcs\n\n{edge}  # the only arc\n"
+        with pytest.raises(NetworkParseError) as info:
+            parse_network(text)
+        assert (info.value.line_no, str(info.value)) == (4, f"line 4: {message}")
 
 
 def test_parse_unknown_directive_rejected():
@@ -212,6 +224,14 @@ def test_distribution_nan_and_oversized_mass_rejected(fig1, mass):
     pmfs[3] = (0.5, mass)
     with pytest.raises(ValidationError, match="arc 4: probability mass is negative, NaN or above 1"):
         EdgeDistribution(tuple(pmfs)).validate(fig1)
+
+
+def test_parse_prob_non_number_reports_line_number(fig1_text, fig1):
+    text = fig1_text + "prob 1 0.2 0.2 0.2 0.2 0.2\n\nprob 2 0.5 pear 0.5\n"
+    with pytest.raises(NetworkParseError) as info:
+        parse_edge_distribution(text, fig1)
+    line_no = len(fig1_text.splitlines()) + 3
+    assert str(info.value) == f"line {line_no}: probabilities must be numbers"
 
 
 def test_parse_prob_nan_rejected():
