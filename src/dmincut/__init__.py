@@ -30,9 +30,9 @@ from .oracle import (
     flow_table,
     max_flow_value,
     reliability_exhaustive,
-    reliability_from_dmcs,
     state_space_size,
 )
+from .reliability import reliability_from_dmcs
 from .solver import OperationCounters, SolveReport, audit_complexity, find_all_dmcs
 from .verify import Verdict, classify, verify, verify_flawed
 

@@ -38,7 +38,8 @@ from .cuts import enumerate_min_cuts, format_cuts, parse_cuts
 from .errors import DmincutError, StateSpaceLimitError
 from .maxflow import lifting_arcs, max_flow
 from .network import format_vector, parse_edge_distribution, parse_network, unsaturated_arcs
-from .oracle import brute_force_dmcs, reliability_exhaustive, reliability_from_dmcs
+from .oracle import brute_force_dmcs, reliability_exhaustive
+from .reliability import reliability_from_dmcs
 from .solver import audit_complexity, find_all_dmcs, infeasibility, refuse_candidates_past_guard
 from .verify import classify, verify_flawed
 
@@ -123,9 +124,9 @@ def cmd_check_flaw(args) -> int:
         refuse_candidates_past_guard(total, index, len(cuts), args.demand)
         # Each candidate then gets a max flow from scratch, which reads all m arcs.
         refuse_candidates_past_guard(total, index, len(cuts), args.demand, "CHECK_FLAW_WORK_GUARD", net.arc_count)
-    # A stream over ascending arc ids ascends in full-vector order, so merging the
-    # streams and dropping repeats lists each candidate once, in sorted order.
-    streams = [enumerate_candidates(net, sorted(cut), args.demand) for cut in cuts]
+    # Each cut is an ascending tuple, and a stream over ascending arc ids ascends in full-vector
+    # order, so merging the streams and dropping repeats lists each candidate once, in sorted order.
+    streams = [enumerate_candidates(net, cut, args.demand) for cut in cuts]
     disagreements = 0
     for vector, _ in groupby(merge(*streams)):
         # One max flow per candidate feeds both verdicts and the evidence.

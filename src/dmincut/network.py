@@ -251,8 +251,10 @@ def parse_network(text: str) -> Network:
 def parse_edge_distribution(text: str, net: Network) -> EdgeDistribution | None:
     """Read ``prob`` lines from a network file.
 
-    Returns None when the file carries no ``prob`` line at all; a partial
-    set of pmfs is rejected because reliability needs every arc covered.
+    Returns None when the network has arcs and the file carries no
+    ``prob`` line at all; a partial set of pmfs is rejected because
+    reliability needs every arc covered.  A network with no arcs needs no
+    line: it gets the empty distribution.
     """
     pmfs: dict[int, tuple[float, ...]] = {}
     for line_no, tokens in _tokenize(text):
@@ -269,7 +271,7 @@ def parse_edge_distribution(text: str, net: Network) -> EdgeDistribution | None:
             pmfs[arc_id] = tuple(map(float, tokens[2:]))
         except ValueError:
             raise NetworkParseError(line_no, "probabilities must be numbers") from None
-    if not pmfs:
+    if not pmfs and net.arcs:
         return None
     missing = [a.index for a in net.arcs if a.index not in pmfs]
     if missing:

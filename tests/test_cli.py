@@ -15,6 +15,7 @@ from dmincut import (
     find_all_dmcs,
     oracle,
     parse_network,
+    reliability,
     solver,
     unsaturated_set,
 )
@@ -627,6 +628,17 @@ def test_reliability_without_pmfs_exits_2(capsys):
     assert "prob" in err
 
 
+def test_reliability_of_a_network_without_arcs(capsys, tmp_path):
+    # Zero arcs need zero 'prob' lines. The max flow is always 0: Pr[W >= 0] = 1, Pr[W >= 1] = 0.
+    net = tmp_path / "arcless.net"
+    net.write_text("nodes 2 source 1 sink 2\n")
+    for method in ("dmcs", "exhaustive"):
+        for demand, ge, strict in (("0", "1.000000000000\n", "0.000000000000\n"), ("1", "0.000000000000\n", "0.000000000000\n")):
+            argv = ("reliability", str(net), "--demand", demand, "--method", method)
+            assert run(capsys, *argv) == (0, ge, "")
+            assert run(capsys, *argv, "--threshold", "strict") == (0, strict, "")
+
+
 def test_reliability_dmcs_route_past_twenty_dmcs(capsys):
     # Demand 4 needs the 3-MC set: 32 vectors, which the union handles exactly.
     code_d, out_d, _ = run(capsys, "reliability", FIG1_PROB, "--demand", "4", "--method", "dmcs")
@@ -636,7 +648,7 @@ def test_reliability_dmcs_route_past_twenty_dmcs(capsys):
 
 
 def test_reliability_dmcs_route_guard_exits_4(capsys, monkeypatch):
-    monkeypatch.setattr(oracle, "UNION_WORK_GUARD", 1000)
+    monkeypatch.setattr(reliability, "UNION_WORK_GUARD", 1000)
     code, out, err = run(capsys, "reliability", FIG1_PROB, "--demand", "4", "--method", "dmcs")
     assert code == 4
     assert out == ""

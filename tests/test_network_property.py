@@ -215,10 +215,10 @@ def distributions(draw, net):
 def test_serialize_parse_round_trip(net, prob_net, data):
     text = serialize_network(net)
     assert parse_network(text) == net
-    assert parse_edge_distribution(text, net) is None
+    # No prob line reads as no distribution, except on a network with no arcs, which needs none.
+    assert parse_edge_distribution(text, net) == (None if net.arcs else EdgeDistribution(()))
 
     dist = data.draw(distributions(prob_net))
     text = serialize_network(prob_net, dist)
     assert parse_network(text) == prob_net
-    # Without arcs there is no prob line, which reads as no distribution.
-    assert parse_edge_distribution(text, prob_net) == (dist if prob_net.arcs else None)
+    assert parse_edge_distribution(text, prob_net) == dist
