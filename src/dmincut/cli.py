@@ -58,8 +58,9 @@ def _fail(message: str, code: int) -> int:
 def _read_text(path: str) -> str:
     """The file's text, past a byte-order mark if it starts with one.
 
-    Line breaks stay as written: the parsers split lines with
-    ``str.splitlines``, which reads ``\\r\\n`` and ``\\r`` as one break each.
+    Line breaks stay as written: the parsers end a line at ``\\n``,
+    ``\\r\\n`` or ``\\r``, and at no other character, so a form feed or a
+    U+2028 in a comment stays in that comment.
     """
     with open(path, "rb") as file:
         data = file.read()

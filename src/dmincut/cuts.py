@@ -23,12 +23,14 @@ search.
 Enumeration is output-sensitive: a backtracking search over source sides S
 (after Provan & Shier 1996) builds only the sets whose out-arcs are minimal
 cuts, so its work grows with the number of cuts, not with the 2^(n-2) node
-subsets.  Each search step is charged n+m and the search refuses once the
-total passes ``CUT_SEARCH_GUARD`` = 10^8.  On a 2-vCPU VM with CPython 3.11
-the 4x4 grid (n=18, 1,160 cuts, 4,347 steps) takes about 0.015 s and the
-5x5 grid (n=27, m=50, 43,984 cuts, 194,429 steps) about 0.9 s.  When the
-source cannot reach the sink, S grows to every node the source reaches
-and the search emits the network's one minimal cut, the empty set.
+subsets.  Each frame carries S's out-arcs, and the search branches on the
+lowest-id free head among them.  Each search step is charged n+m and the
+search refuses once the total passes ``CUT_SEARCH_GUARD`` = 10^8.  On a
+2-vCPU VM with CPython 3.11 the 4x4 grid (n=18, 1,160 cuts, 4,347 steps)
+takes about 0.015 s and the 5x5 grid (n=27, m=50, 43,984 cuts, 194,429
+steps) about 0.9 s.  When the source cannot reach the sink, S grows to
+every node the source reaches and the search emits the network's one
+minimal cut, the empty set.
 
 Cut files are one cut per line: ``cut <id> <arc_id> <arc_id> ...``.  A line
 with no arc ids is the empty cut, which is minimal only when the sink is
@@ -113,27 +115,27 @@ def enumerate_min_cuts(net: Network) -> list[MinCut]:
     entering S (one backward search from the sink per growth of S), so
     every branch ends in a cut; S's out-arcs are emitted once it has no
     free out-neighbour.  Each frame carries what growing S changes: the
-    slots open to that backward search, S's out-neighbours and S's
-    out-arcs, so a growth by v touches only v's arcs, not all m.  The
-    stack is explicit, so long paths do not hit the recursion limit.
-    Searches whose work passes ``CUT_SEARCH_GUARD`` are refused.  Every
-    cut returned joins the network's record of proven cuts, so
+    slots open to that backward search and S's out-arcs, whose heads are
+    S's out-neighbours, so a growth by v touches only v's arcs, not all
+    m.  The stack is explicit, so long paths do not hit the recursion
+    limit.  Searches whose work passes ``CUT_SEARCH_GUARD`` are refused.
+    Every cut returned joins the network's record of proven cuts, so
     :func:`is_min_cut` accepts it without a search.
     """
-    adj = net.out_slots
+    adj, heads = net.out_slots, net.slot_heads
     step_cost = net.node_count + net.arc_count
     steps = 0
     side = bytearray(net.node_count + 1)
     side[net.sink] = _OUT
     found: list[MinCut] = []
     # A frame is (banned nodes, search entries towards the sink avoiding S, node marks, open slots,
-    # frontier, cut, joining node).  The open slots give one unit of room to each arc with no end
-    # in S, the frontier holds S's out-neighbours, read through the marks, and the cut is S's
-    # out-arc set.  A frame with a joining node shares these with its parent until S grows by that
-    # node here, and its entries are then searched again.
-    stack = [((), None, side, [1, 0] * net.arc_count, set(), set(), net.source)]
+    # cut, joining node).  The open slots give one unit of room to each arc with no end in S, and
+    # the cut is S's out-arc set, so the heads of its arcs are S's out-neighbours.  A frame with a
+    # joining node shares these with its parent until S grows by that node here, and its entries
+    # are then searched again.
+    stack = [((), None, side, [1, 0] * net.arc_count, set(), net.source)]
     while stack:
-        banned, to_sink, side, open_slots, frontier, cut, joining = stack.pop()
+        banned, to_sink, side, open_slots, cut, joining = stack.pop()
         steps += 1
         if steps * step_cost > CUT_SEARCH_GUARD:
             raise StateSpaceLimitError(
@@ -142,9 +144,9 @@ def enumerate_min_cuts(net: Network) -> list[MinCut]:
                 " take --cuts can be given the cuts in a cut file instead"
             )
         if joining:
-            # The joining node's arcs close, its out-neighbours join the frontier, and its in-arcs
-            # in the cut give way to its out-arcs that leave S.
-            side, open_slots, frontier, cut = side.copy(), open_slots.copy(), frontier.copy(), cut.copy()
+            # The joining node's arcs close, and its in-arcs in the cut give way to its out-arcs
+            # that leave S.
+            side, open_slots, cut = side.copy(), open_slots.copy(), cut.copy()
             side[joining] = _IN
             for slot, v in adj[joining]:
                 open_slots[slot & -2] = 0
@@ -152,19 +154,18 @@ def enumerate_min_cuts(net: Network) -> list[MinCut]:
                     cut.discard((slot >> 1) + 1)
                 elif side[v] != _IN:
                     cut.add((slot >> 1) + 1)
-                    frontier.add(v)
             to_sink = residual_tree(net, open_slots, net.sink, backward=1)
             if any(to_sink[v] < 0 for v in banned):
                 continue
-        branch = min((v for v in frontier if not side[v]), default=0)
+        branch = min((heads[2 * a - 2] for a in cut if not side[heads[2 * a - 2]]), default=0)
         if not branch:
             found.append(tuple(sorted(cut)))
             continue
         if to_sink[branch] >= 0:
             ban = side.copy()
             ban[branch] = _OUT
-            stack.append((banned + (branch,), to_sink, ban, open_slots, frontier, cut, 0))
-        stack.append((banned, None, side, open_slots, frontier, cut, branch))
+            stack.append((banned + (branch,), to_sink, ban, open_slots, cut, 0))
+        stack.append((banned, None, side, open_slots, cut, branch))
     net._proven_min_cuts.update(found)
     return sorted(found, key=lambda c: (len(c), c))
 
@@ -173,7 +174,8 @@ def parse_cuts(text: str, net: Network) -> list[MinCut]:
     """Parse a cut file; every listed cut must be a valid minimal cut of ``net``.
 
     The list may be a subset of the network's cuts (a published list, say);
-    duplicates are rejected.
+    duplicates are rejected, and so is a line that repeats an arc id, by
+    :func:`is_min_cut`.
     """
     cuts: list[MinCut] = []
     seen: set[MinCut] = set()
@@ -187,8 +189,6 @@ def parse_cuts(text: str, net: Network) -> list[MinCut]:
             arc_ids = tuple(sorted(int(t) for t in tokens[2:]))
         except ValueError:
             raise NetworkParseError(line_no, "arc ids must be integers") from None
-        if len(set(arc_ids)) != len(arc_ids):
-            raise NetworkParseError(line_no, "repeated arc id within a cut")
         try:
             minimal = is_min_cut(net, arc_ids)
         except ValidationError as exc:

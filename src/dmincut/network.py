@@ -186,8 +186,12 @@ class EdgeDistribution:
 
 
 def _tokenize(text: str):
-    """Yield (line_no, tokens) for non-empty, non-comment lines."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    """Yield (line_no, tokens) for non-empty, non-comment lines.
+
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only: ``str.splitlines`` would also
+    break at form feeds, ``\\x85``, U+2028 and the like, which may sit in a comment.
+    """
+    for line_no, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
         tokens = raw.split("#", 1)[0].split()
         if tokens:
             yield line_no, tokens
@@ -211,7 +215,7 @@ def parse_network(text: str) -> Network:
     :func:`parse_edge_distribution`.
     """
     header = None
-    edges: list[tuple[int, Arc]] = []
+    arcs: dict[int, Arc] = {}
     for line_no, tokens in _tokenize(text):
         kind = tokens[0]
         if kind == "nodes":
@@ -232,20 +236,17 @@ def parse_network(text: str) -> Network:
             except ValueError:
                 # The slow path names the first field that is not an integer.
                 arc = Arc(*(_parse_int(token, line_no, what) for token, what in zip(tokens[1:], _EDGE_FIELDS)))
-            edges.append((line_no, arc))
+            if arc.index in arcs:
+                raise NetworkParseError(line_no, f"duplicate arc id {arc.index}")
+            arcs[arc.index] = arc
         elif kind == "prob":
             continue
         else:
             raise NetworkParseError(line_no, f"unknown directive {kind!r}")
     if header is None:
         raise NetworkParseError(1, "missing 'nodes' header")
-    seen: set[int] = set()
-    for line_no, arc in edges:
-        if arc.index in seen:
-            raise NetworkParseError(line_no, f"duplicate arc id {arc.index}")
-        seen.add(arc.index)
     node_count, source, sink = header
-    return Network(node_count=node_count, arcs=tuple(a for _, a in edges), source=source, sink=sink)
+    return Network(node_count=node_count, arcs=tuple(arcs.values()), source=source, sink=sink)
 
 
 def parse_edge_distribution(text: str, net: Network) -> EdgeDistribution | None:

@@ -272,10 +272,10 @@ def find_all_dmcs(net: Network, demand: int, cuts: list[MinCut]) -> SolveReport:
 
     With the complete minimal-cut list the result is exactly the set of
     d-MCs; with a partial list it is the subset those cuts generate.  The
-    run is sequential and fully deterministic, counters included.
+    run is sequential and fully deterministic, counters included.  A
+    negative demand is refused by the first cut's guards, before any
+    search.
     """
-    if demand < 0:
-        raise ValidationError(f"demand must be nonnegative, got {demand}")
     if not cuts:
         raise ValidationError("cut list is empty")
     for cut in cuts:

@@ -8,6 +8,7 @@ from dmincut import (
     Arc,
     Network,
     NetworkParseError,
+    StateSpaceLimitError,
     ValidationError,
     brute_force_dmcs,
     enumerate_min_cuts,
@@ -147,6 +148,18 @@ def test_grid_4x4_cut_count_and_no_cut_contains_another():
     assert not any(other < c for c in sets for other in sets)
 
 
+@pytest.mark.parametrize("rows, cols, steps", [(2, 6, 167), (3, 4, 569), (3, 5, 1441), (4, 4, 4347)])
+def test_enumeration_takes_a_fixed_number_of_search_steps(monkeypatch, rows, cols, steps):
+    """The guard charges n+m per step: the search fits exactly at steps * (n+m) units."""
+    net = grid_network(rows, cols, itertools.repeat(1))
+    step_cost = net.node_count + net.arc_count
+    monkeypatch.setattr("dmincut.cuts.CUT_SEARCH_GUARD", steps * step_cost)
+    assert enumerate_min_cuts(net)
+    monkeypatch.setattr("dmincut.cuts.CUT_SEARCH_GUARD", steps * step_cost - 1)
+    with pytest.raises(StateSpaceLimitError, match=f" at search step {steps}, "):
+        enumerate_min_cuts(net)
+
+
 def test_cut_capacity_bounds_max_flow():
     rng = random.Random(202)
     for _ in range(25):
@@ -181,6 +194,15 @@ def test_cut_file_invalid_cut_rejected(fig1, capsys, tmp_path):
 def test_cut_file_duplicate_rejected(fig1):
     with pytest.raises(ValidationError, match="duplicate"):
         parse_cuts("cut 1 2 3 5\ncut 2 5 3 2\n", fig1)
+
+
+def test_cut_file_repeated_arc_id_names_its_line(fig1, capsys, tmp_path):
+    text = "cut 1 2 2\n"
+    with pytest.raises(ValidationError, match=r"^line 1: \(2, 2\) has a repeated arc id$"):
+        parse_cuts(text, fig1)
+    assert refusal_on_the_command_line(capsys, tmp_path, text) == (
+        2, "error: line 1: (2, 2) has a repeated arc id\n"
+    )
 
 
 def refusal_on_the_command_line(capsys, tmp_path, text, command="solve"):

@@ -9,6 +9,7 @@ from dmincut import (
     Network,
     NetworkParseError,
     ValidationError,
+    parse_cuts,
     parse_edge_distribution,
     parse_network,
     unsaturated_set,
@@ -33,8 +34,9 @@ def test_parse_zero_capacity_arc_is_valid():
 
 
 def test_parse_duplicate_arc_id_rejected():
-    text = "nodes 2 source 1 sink 2\nedge 1 1 2 1\nedge 1 2 1 1\n"
-    with pytest.raises((NetworkParseError, ValidationError)):
+    # Refused at its own line, before any later line is read.
+    text = "nodes 2 source 1 sink 2\nedge 1 1 2 1\nedge 1 2 1 1\nvertex 3\n"
+    with pytest.raises(NetworkParseError, match=r"^line 3: duplicate arc id 1$"):
         parse_network(text)
 
 
@@ -75,6 +77,23 @@ def test_parse_malformed_line_reports_line_number():
         with pytest.raises(NetworkParseError) as info:
             parse_network(text)
         assert (info.value.line_no, str(info.value)) == (4, f"line 4: {message}")
+
+
+@pytest.mark.parametrize("mark", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_lines_end_only_at_newline_crlf_and_cr(fig1, mark, newline):
+    """Other characters ``str.splitlines`` breaks at stay inside a comment, in all three file kinds."""
+    def lines(*rows):
+        return newline.join(rows) + newline
+
+    header = ("nodes 2 source 1 sink 2", f"edge 1 1 2 1 # café{mark}note")
+    with pytest.raises(NetworkParseError, match=r"^line 3: capacity must be an integer, got 'x'$"):
+        parse_network(lines(*header, "edge 2 1 2 x"))
+    text = lines(*header, "edge 2 1 2 1", f"prob 1 0.5 0.5 # a{mark}note", "prob 2 0.5 pear")
+    with pytest.raises(NetworkParseError, match=r"^line 5: probabilities must be numbers$"):
+        parse_edge_distribution(text, parse_network(text))
+    with pytest.raises(ValidationError, match=r"^line 2: arc id 99 outside \[1, 6\]$"):
+        parse_cuts(lines(f"cut 1 1 2 3 # a{mark}note", "cut 2 99"), fig1)
 
 
 def test_parse_unknown_directive_rejected():

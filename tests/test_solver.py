@@ -500,7 +500,7 @@ def test_report_schema_is_pinned(fig1):
 
 def test_preconditions(fig1):
     cuts = enumerate_min_cuts(fig1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^demand must be nonnegative, got -1$"):
         find_all_dmcs(fig1, -1, cuts)
     with pytest.raises(ValidationError):
         find_all_dmcs(fig1, 3, [])
